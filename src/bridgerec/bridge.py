@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint
 from .models import (DomainModel, item_representations, item_scoring_vectors,
                      user_representations)
-from .nn import Adam, TwoLayerNet, prefix_params, softmax, uniform_init
+from .nn import TwoLayerNet, fit, prefix_params, softmax, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -187,7 +187,6 @@ def task_oriented_loss(enc: CharacteristicEncoder, meta: MetaNetwork,
     usable = np.asarray([len(ctx.sequences.get(int(u), ())) > 0 for u in src_user])
     n_skipped = int((~usable).sum())
     if n_skipped:
-        logger.warning("skipping %d samples of users with no source interactions", n_skipped)
         src_user, tgt_item, rating = src_user[usable], tgt_item[usable], rating[usable]
     B = len(rating)
     if B == 0:
@@ -246,7 +245,7 @@ def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
                         config, seed: int = 0):
     """Fit one shared linear bridge to (source, target) representation pairs.
 
-    Full-sum Adam on the embedding-matching loss. Returns (W, trace); the
+    Mini-batch Adam on the embedding-matching loss. Returns (W, trace); the
     trace records the loss per epoch and the supervision counters.
     """
     u_src = np.atleast_2d(np.asarray(u_src, dtype=np.float64))
@@ -256,21 +255,10 @@ def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
         raise ValueError("no supervision: zero overlapping users")
     rng = np.random.default_rng(seed)
     W = uniform_init(rng, k, (k, k))
-    opt = Adam({"W": W}, lr=config.lr)
-    losses = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = perm[start:start + config.batch_size]
-            loss, grads = mapping_oriented_loss(W, u_src[rows], u_tgt[rows])
-            if not np.isfinite(loss):
-                raise RuntimeError(f"common-bridge training diverged at epoch {epoch}")
-            opt.step(grads)
-            epoch_loss += loss
-        losses.append(epoch_loss)
+    losses = fit({"W": W}, lambda rows: mapping_oriented_loss(W, u_src[rows], u_tgt[rows]),
+                 n, config, rng, "common-bridge training")
     trace = {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-             "epochs": config.epochs}
+             "epochs": len(losses)}
     return W, trace
 
 
@@ -287,27 +275,21 @@ def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferConte
         raise ValueError("no target-domain ratings of overlap users to train on")
     rng = np.random.default_rng(seed)
     params = _namespaced(enc.params(), meta.params())  # same namespacing as grads
-    opt = Adam(params, lr=config.lr)
-    losses = []
-    consumed = 0
-    skipped = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            rows = perm[start:start + config.batch_size]
-            loss, grads, n_skip = task_oriented_loss(
-                enc, meta, ctx, src_user[rows], tgt_item[rows], rating[rows])
-            if not np.isfinite(loss):
-                raise RuntimeError(f"meta training diverged at epoch {epoch}")
-            opt.step(grads)
-            batch_losses.append(loss)
-            consumed += len(rows) - n_skip
-            skipped += n_skip
-        losses.append(float(np.mean(batch_losses)))
-    trace = {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-             "epochs": config.epochs, "consumed": consumed, "skipped_samples": skipped}
-    return trace
+    counts = {"consumed": 0, "skipped_samples": 0}
+
+    def batch_fn(rows):
+        loss, grads, n_skip = task_oriented_loss(
+            enc, meta, ctx, src_user[rows], tgt_item[rows], rating[rows])
+        counts["consumed"] += len(rows) - n_skip
+        counts["skipped_samples"] += n_skip
+        return loss, grads
+
+    losses = fit(params, batch_fn, n, config, rng, "meta training")
+    if counts["skipped_samples"]:
+        logger.warning("meta training skipped %d samples of users with no source interactions",
+                       counts["skipped_samples"])
+    return {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
+            "epochs": len(losses), **counts}
 
 
 def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
@@ -329,26 +311,16 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
         raise ValueError("no supervision: zero overlapping users with source history")
     rng = np.random.default_rng(seed)
     params = _namespaced(enc.params(), meta.params())
-    opt = Adam(params, lr=config.lr)
-    losses = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            take = perm[start:start + config.batch_size]
-            rows = src_users[take]
-            seq_embs = [ctx.item_reprs[ctx.sequences[int(u)]] for u in rows]
-            loss, grads = mapping_oriented_loss(
-                (enc, meta), ctx.user_reprs[rows], ctx.tgt_user_reprs[tgt_users[take]],
-                seq_embs)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"meta mapping training diverged at epoch {epoch}")
-            opt.step(grads)
-            epoch_loss += loss
-        losses.append(epoch_loss)
-    trace = {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-             "epochs": config.epochs, "skipped_users": skipped}
-    return trace
+
+    def batch_fn(take):
+        rows = src_users[take]
+        seq_embs = [ctx.item_reprs[ctx.sequences[int(u)]] for u in rows]
+        return mapping_oriented_loss((enc, meta), ctx.user_reprs[rows],
+                                     ctx.tgt_user_reprs[tgt_users[take]], seq_embs)
+
+    losses = fit(params, batch_fn, n, config, rng, "meta mapping training")
+    return {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
+            "epochs": len(losses), "skipped_users": skipped}
 
 
 def transform_user(enc: CharacteristicEncoder, meta: MetaNetwork,

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import checkpoint
@@ -23,7 +22,7 @@ from .bridge import attention_table, save_bridge_nets
 from .data import load_domain, make_split
 from .models import TrainConfig, load_model, save_model, user_representation
 from .pipeline import (AmazonTask, ExperimentPlan, SyntheticSpec, SyntheticTask,
-                       run_cold, run_suite, run_warm, sweep_plans,
+                       _report_row, run_cold, run_plan, run_suite, sweep_plans,
                        write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
@@ -124,11 +123,11 @@ def _write_report_files(rows, out_dir: Path) -> None:
     write_suite_json(rows, out_dir / "report.json")
 
 
-def _write_traces(cold, out_dir: Path) -> None:
-    for name, trace in cold.artifacts.items():
-        if not name.endswith("_trace"):
-            continue
-        losses = trace["loss"] if isinstance(trace, dict) else trace
+def _write_traces(cold, warm, out_dir: Path) -> None:
+    traces = {name: trace["loss"] if isinstance(trace, dict) else trace
+              for name, trace in cold.artifacts.items() if name.endswith("_trace")}
+    traces["finetune_trace"] = warm.trace
+    for name, losses in traces.items():
         if not losses:
             continue
         with open(out_dir / f"{name}.csv", "w", newline="") as f:
@@ -230,20 +229,11 @@ def cmd_run(args) -> int:
 
     # output files stay byte-identical across reruns unless timings are asked for
     record_runtime = bool(cfg.get("record_runtime", False))
-    t0 = time.monotonic()
-    cold = run_cold(plan, pretrained=pretrained)
-    t1 = time.monotonic()
-    warm = run_warm(plan, cold)
-    t2 = time.monotonic()
-    rows = []
-    for report, t in ((cold.report, t1 - t0), (warm, t2 - t1)):
-        rows.append({"task": plan.task.label, "beta": plan.beta, "method": plan.method,
-                     "stage": report.stage, "seed": plan.seed, "mae": report.mae,
-                     "rmse": report.rmse, "n_eval": report.n_eval,
-                     "runtime_s": round(t, 3) if record_runtime else 0.0,
-                     "counters": report.counters})
+    (cold, t_cold), (warm, t_warm) = run_plan(plan, pretrained)
+    rows = [{**_report_row(plan, report, t, record_runtime), "counters": report.counters}
+            for report, t in ((cold.report, t_cold), (warm, t_warm))]
     _write_report_files(rows, out)
-    _write_traces(cold, out)
+    _write_traces(cold, warm, out)
     if cfg.get("save_checkpoints"):
         _save_checkpoints(cold, out / "checkpoints")
     print(f"cold mae={cold.report.mae:.4f} warm mae={warm.mae:.4f} -> {out}",

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import DomainDataset, IdMap
-from .nn import Adam, TwoLayerNet, prefix_params, uniform_init
+from .nn import TwoLayerNet, fit, prefix_params, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,14 @@ class TrainConfig:
     batch_size: int = 512
     activation: str = "relu"
     patience: int | None = None
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be None or >= 0, got {self.patience}")
 
 
 class DomainModel:
@@ -172,36 +180,6 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     return loss, grads
 
 
-def _run_epochs(params, batch_fn, n: int, config: TrainConfig, rng: np.random.Generator,
-                what: str):
-    """Shared mini-batch Adam loop; returns the per-epoch mean-loss trace."""
-    opt = Adam(params, lr=config.lr)
-    trace = []
-    best = np.inf
-    stale = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            batch = perm[start:start + config.batch_size]
-            loss, grads = batch_fn(batch)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
-            opt.step(grads)
-            losses.append(loss)
-        mean_loss = float(np.mean(losses))
-        trace.append(mean_loss)
-        if config.patience is not None:
-            if mean_loss < best - 1e-12:
-                best = mean_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale > config.patience:
-                    break
-    return trace
-
-
 def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
              config: TrainConfig | None = None, seed: int = 0):
     """Fit a DomainModel to a rating log by mini-batch Adam on squared error.
@@ -212,8 +190,6 @@ def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
     if dataset.n_ratings == 0:
         raise ValueError("cannot pretrain on an empty dataset")
     config = config or TrainConfig()
-    if config.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(seed)
     model = DomainModel(dataset.n_users, dataset.n_items, k, head,
                         activation=config.activation, rng=rng)
@@ -223,7 +199,7 @@ def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
         return loss_and_grads(model, dataset.user_idx[batch], dataset.item_idx[batch],
                               dataset.rating[batch])
 
-    trace = _run_epochs(params, batch_fn, dataset.n_ratings, config, rng, "pretrain")
+    trace = fit(params, batch_fn, dataset.n_ratings, config, rng, "pretrain")
     if trace:
         logger.info("pretrained %s head on %d ratings: loss %.4f -> %.4f",
                     head, dataset.n_ratings, trace[0], trace[-1])
@@ -297,7 +273,7 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
         loss = float(np.mean((pred - r) ** 2))
         return loss, {"users": d_users, "src_items": d_src, "tgt_items": d_tgt}
 
-    trace = _run_epochs(params, batch_fn, len(pool_r), config, rng, "cmf")
+    trace = fit(params, batch_fn, len(pool_r), config, rng, "cmf")
     return model, trace
 
 

@@ -1,12 +1,11 @@
-"""Minimal dense numeric kernel: two-layer nets, softmax, Adam, grad checking.
+"""Minimal dense numeric kernel: two-layer nets, softmax, Adam, the shared
+training loop and grad checking.
 
 Everything is float64 numpy. Backward passes are hand-derived and verified
 against central differences by ``grad_check``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,70 +110,81 @@ class TwoLayerNet:
         return grads, (dX[0] if single else dX)
 
 
-def forward_two_layer(net: TwoLayerNet, x) -> np.ndarray:
-    """Plain forward pass of a two-layer net (deterministic)."""
-    return net.forward(x)
-
-
-@dataclass
-class AdamState:
-    """Adam accumulators; moment shapes mirror the tracked parameters."""
-
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_init(params: dict[str, np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
-    return state
-
-
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState):
-    """One bias-corrected Adam update, applied to ``params`` in place.
-
-    ``grads`` may cover a subset of the tracked parameters; untracked names or
-    mismatched shapes are an error. Returns (params, state) for convenience.
-    """
-    unknown = set(grads) - set(state.m)
-    if unknown:
-        raise ValueError(f"gradients for untracked parameters: {sorted(unknown)}")
-    state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    for name, g in grads.items():
-        p = params[name]
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
-
-
 class Adam:
-    """Convenience wrapper tying an AdamState to a live parameter dict."""
+    """Bias-corrected Adam applied in place to a live parameter dict.
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, **kw):
+    Moment shapes mirror the tracked parameters; ``t`` counts the steps taken.
+    ``step`` takes gradients for any subset of the tracked parameters;
+    untracked names or mismatched shapes are an error.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.state = adam_init(params, lr, **kw)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        adam_step(self.params, grads, self.state)
+        unknown = set(grads) - set(self.m)
+        if unknown:
+            raise ValueError(f"gradients for untracked parameters: {sorted(unknown)}")
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, g in grads.items():
+            p = self.params[name]
+            g = np.asarray(g, dtype=np.float64)
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} "
+                                 f"for {name!r}")
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def fit(params: dict[str, np.ndarray], batch_fn, n: int, config,
+        rng: np.random.Generator, what: str) -> list[float]:
+    """Mini-batch Adam over ``n`` examples; returns the mean batch loss per epoch.
+
+    Each epoch draws one permutation of range(n) from ``rng`` and hands it to
+    ``batch_fn(rows) -> (loss, grads)`` in slices of ``config.batch_size``.
+    A non-finite loss is an error. With ``config.patience`` set, training
+    stops once more than ``patience`` epochs in a row fail to improve on the
+    best epoch loss.
+    """
+    opt = Adam(params, lr=config.lr)
+    trace = []
+    best = np.inf
+    stale = 0
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            loss, grads = batch_fn(perm[start:start + config.batch_size])
+            if not np.isfinite(loss):
+                raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
+            opt.step(grads)
+            losses.append(loss)
+        mean_loss = float(np.mean(losses))
+        trace.append(mean_loss)
+        if config.patience is not None:
+            if mean_loss < best - 1e-12:
+                best = mean_loss
+                stale = 0
+            else:
+                stale += 1
+                if stale > config.patience:
+                    break
+    return trace
 
 
 def grad_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:

@@ -27,7 +27,7 @@ from .data import (DomainDataset, RatingTriple, SplitPlan, build_sequences,
                    make_split, rows_by_user)
 from .models import (TrainConfig, cmf_train, item_scoring_vectors, pretrain,
                      user_representation)
-from .nn import Adam, softmax
+from .nn import fit, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -291,6 +291,8 @@ class MetricsReport:
     rmse: float
     n_eval: int
     counters: dict = field(default_factory=dict)
+    # warm stage only: fine-tune loss per epoch; kept out of report rows
+    trace: list[float] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,8 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
 
     Fine-tuning is joint mini-batch Adam over all test users' cold ratings;
     item vectors stay frozen unless ``plan.finetune_items`` is set. With zero
-    fine-tune epochs the warm-set predictions equal the cold-stage ones.
+    fine-tune epochs the warm-set predictions equal the cold-stage ones. The
+    returned report carries the fine-tune loss trace.
     """
     if cold is None:
         cold = run_cold(plan)
@@ -467,30 +470,28 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
     pool_i = np.concatenate(it) if it else np.zeros(0, dtype=np.int64)
     pool_r = np.concatenate(rt) if rt else np.zeros(0)
 
-    cfg = plan.finetune
-    if cfg.epochs > 0 and len(pool_r) > 0:
+    trace: list[float] = []
+    if len(pool_r) > 0:
         params = {"E": E}
         if plan.finetune_items:
             params["Q"] = Q
-        opt = Adam(params, lr=cfg.lr)
-        rng = np.random.default_rng(_stage_seeds(plan.seed)["finetune"])
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(len(pool_r))
-            for start in range(0, len(pool_r), cfg.batch_size):
-                batch = perm[start:start + cfg.batch_size]
-                uu, ii, rr = pool_u[batch], pool_i[batch], pool_r[batch]
-                pred = np.einsum("bk,bk->b", E[uu], Q[ii])
-                g = 2.0 * (pred - rr) / len(batch)
-                if not np.isfinite(pred).all():
-                    raise RuntimeError(f"warm fine-tuning diverged at epoch {epoch}")
-                dE = np.zeros_like(E)
-                np.add.at(dE, uu, g[:, None] * Q[ii])
-                grads = {"E": dE}
-                if plan.finetune_items:
-                    dQ = np.zeros_like(Q)
-                    np.add.at(dQ, ii, g[:, None] * E[uu])
-                    grads["Q"] = dQ
-                opt.step(grads)
+
+        def batch_fn(rows):
+            uu, ii, rr = pool_u[rows], pool_i[rows], pool_r[rows]
+            pred = np.einsum("bk,bk->b", E[uu], Q[ii])
+            g = 2.0 * (pred - rr) / len(rows)
+            dE = np.zeros_like(E)
+            np.add.at(dE, uu, g[:, None] * Q[ii])
+            grads = {"E": dE}
+            if plan.finetune_items:
+                dQ = np.zeros_like(Q)
+                np.add.at(dQ, ii, g[:, None] * E[uu])
+                grads["Q"] = dQ
+            return float(np.mean((pred - rr) ** 2)), grads
+
+        trace = fit(params, batch_fn, len(pool_r), plan.finetune,
+                    np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),
+                    "warm fine-tuning")
 
     counters = {"users_empty_warm": 0}
     all_r, all_p = [], []
@@ -506,24 +507,33 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
     mae, rmse = compute_metrics(np.concatenate(all_r), np.concatenate(all_p))
     report = MetricsReport(method=plan.method, beta=plan.beta, seed=plan.seed,
                            stage="warm", mae=mae, rmse=rmse,
-                           n_eval=int(sum(len(x) for x in all_r)), counters=counters)
+                           n_eval=int(sum(len(x) for x in all_r)), counters=counters,
+                           trace=trace)
     logger.info("warm %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
                 plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
     return report
 
 
-def run_plan(plan: ExperimentPlan):
-    """Cold stage then warm stage; returns both reports with wall times attached."""
+def run_plan(plan: ExperimentPlan, pretrained: dict | None = None):
+    """Cold stage then warm stage; returns (ColdRun, seconds), (warm report, seconds)."""
     t0 = time.monotonic()
-    cold = run_cold(plan)
+    cold = run_cold(plan, pretrained=pretrained)
     t1 = time.monotonic()
     warm = run_warm(plan, cold)
     t2 = time.monotonic()
-    return (cold.report, t1 - t0), (warm, t2 - t1)
+    return (cold, t1 - t0), (warm, t2 - t1)
 
 
 # ---------------------------------------------------------------------------
 # suites
+
+def _report_row(plan: ExperimentPlan, report: MetricsReport, seconds: float,
+                record_runtime: bool) -> dict:
+    return {"task": plan.task.label, "beta": plan.beta, "method": plan.method,
+            "stage": report.stage, "seed": plan.seed, "mae": report.mae,
+            "rmse": report.rmse, "n_eval": report.n_eval,
+            "runtime_s": round(seconds, 3) if record_runtime else 0.0}
+
 
 def _plan_rows(plan: ExperimentPlan, record_runtime: bool):
     try:
@@ -534,13 +544,8 @@ def _plan_rows(plan: ExperimentPlan, record_runtime: bool):
         return [{"task": plan.task.label, "beta": plan.beta, "method": plan.method,
                  "stage": "failed", "seed": plan.seed, "mae": None, "rmse": None,
                  "n_eval": None, "runtime_s": 0.0, "error": str(exc)}]
-    rows = []
-    for report, t in ((cold, t_cold), (warm, t_warm)):
-        rows.append({"task": plan.task.label, "beta": plan.beta, "method": plan.method,
-                     "stage": report.stage, "seed": plan.seed, "mae": report.mae,
-                     "rmse": report.rmse, "n_eval": report.n_eval,
-                     "runtime_s": round(t, 3) if record_runtime else 0.0})
-    return rows
+    return [_report_row(plan, cold.report, t_cold, record_runtime),
+            _report_row(plan, warm, t_warm, record_runtime)]
 
 
 def run_suite(plans, parallelism: int = 1, record_runtime: bool = True):

@@ -351,6 +351,20 @@ def test_train_meta_is_deterministic_and_counts_samples():
     assert map_trace["examples_per_epoch"] == n_users  # 10
 
 
+def test_train_meta_warns_once_about_skipped_samples(caplog):
+    ctx = _ctx(k=3)
+    ctx.sequences.pop(1)
+    su = np.array([0, 1, 2, 1, 0, 2, 1, 2])
+    it = np.arange(len(su)) % 6
+    trace = train_meta(_enc(k=3), _meta(k=3), ctx, su, it, np.full(len(su), 2.0),
+                       TrainConfig(lr=0.01, epochs=3, batch_size=len(su)), seed=0)
+    assert trace["skipped_samples"] == 3 * 3
+    assert trace["consumed"] + trace["skipped_samples"] == 3 * len(su)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "9 samples" in warnings[0].getMessage()
+
+
 def test_train_meta_rejects_empty_supervision():
     enc, meta = _enc(k=3), _meta(k=3)
     ctx = _ctx(k=3)

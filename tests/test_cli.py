@@ -4,6 +4,7 @@ import time
 import pytest
 
 from bridgerec.cli import main
+from bridgerec.models import TrainConfig
 
 SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
               "n_overlap": 140, "n_items_src": 80, "n_items_tgt": 80,
@@ -179,7 +180,22 @@ def test_export_attention_needs_bridge_method(tmp_path, capsys):
 def test_run_emits_training_trace_csvs(tmp_path):
     cfg = _run_config(tmp_path, out_dir=str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 0
-    for name in ("src_trace", "tgt_trace", "bridge_trace"):
+    for name, epochs in (("src_trace", 30), ("tgt_trace", 30), ("bridge_trace", 20),
+                         ("finetune_trace", 30)):
         lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss"
-        assert len(lines) > 1
+        assert len(lines) == 1 + epochs
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all("trace" not in row for row in report)
+
+
+@pytest.mark.parametrize("bad", [{"batch_size": 0}, {"batch_size": -1},
+                                 {"epochs": -1}, {"patience": -1}])
+def test_run_rejects_invalid_train_config(tmp_path, capsys, bad):
+    field_name = next(iter(bad))
+    with pytest.raises(ValueError, match=field_name):
+        TrainConfig(**bad)
+    cfg = _run_config(tmp_path, bridge={"lr": 0.01, "epochs": 20, **bad})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert field_name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgerec.nn import (Adam, TwoLayerNet, adam_init, adam_step,
-                          forward_two_layer, grad_check, softmax, uniform_init)
+from bridgerec.models import TrainConfig
+from bridgerec.nn import Adam, TwoLayerNet, fit, grad_check, softmax, uniform_init
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_forward_zero_net_gives_zero():
     net = TwoLayerNet(3, 4, 2)
     for p in net.params().values():
         p[...] = 0.0
-    np.testing.assert_array_equal(forward_two_layer(net, [1.0, -2.0, 3.0]), [0.0, 0.0])
+    np.testing.assert_array_equal(net.forward([1.0, -2.0, 3.0]), [0.0, 0.0])
 
 
 def test_forward_identity_like_1x1x1():
@@ -81,7 +81,7 @@ def test_forward_identity_like_1x1x1():
     net.b1[...] = 0.0
     net.W2[...] = 1.0
     net.b2[...] = 0.0
-    assert forward_two_layer(net, [2.0])[0] == 2.0
+    assert net.forward([2.0])[0] == 2.0
 
 
 def test_forward_matches_loop_oracle():
@@ -140,26 +140,26 @@ def _scalar_adam_reference(w0, grad_of, lr, steps):
 
 def test_adam_zero_gradient_is_a_noop():
     params = {"w": np.array([1.0, -2.0])}
-    state = adam_init(params, lr=0.1)
-    adam_step(params, {"w": np.zeros(2)}, state)
+    opt = Adam(params, lr=0.1)
+    opt.step({"w": np.zeros(2)})
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
-    assert state.step == 1
+    assert opt.t == 1
 
 
 def test_adam_first_step_moves_by_lr():
     # with constant gradient 1.0 the bias-corrected first step is lr/(1+eps)
     params = {"w": np.array([0.5])}
-    state = adam_init(params, lr=0.1)
-    adam_step(params, {"w": np.array([1.0])}, state)
+    opt = Adam(params, lr=0.1)
+    opt.step({"w": np.array([1.0])})
     expected = 0.5 - 0.1 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(params["w"], [expected], rtol=1e-14)
 
 
 def test_adam_minimizes_quadratic_and_matches_reference():
     params = {"w": np.array([1.0])}
-    state = adam_init(params, lr=0.05)
+    opt = Adam(params, lr=0.05)
     for _ in range(100):
-        adam_step(params, {"w": 2.0 * params["w"]}, state)
+        opt.step({"w": 2.0 * params["w"]})
     assert abs(params["w"][0]) < 0.1
     ref = _scalar_adam_reference(1.0, lambda w: 2.0 * w, lr=0.05, steps=100)
     np.testing.assert_allclose(params["w"][0], ref, rtol=1e-12)
@@ -178,11 +178,43 @@ def test_adam_is_deterministic():
 
 def test_adam_shape_mismatch_raises():
     params = {"w": np.zeros(3)}
-    state = adam_init(params, lr=0.1)
+    opt = Adam(params, lr=0.1)
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(4)}, state)
+        opt.step({"w": np.zeros(4)})
     with pytest.raises(ValueError):
-        adam_step(params, {"nope": np.zeros(3)}, state)
+        opt.step({"nope": np.zeros(3)})
+
+
+# ---------------------------------------------------------------------------
+# training loop
+
+def test_fit_batches_one_permutation_per_epoch_and_traces_mean_loss():
+    seen = []
+
+    def batch_fn(rows):
+        seen.append(rows.copy())
+        return float(len(rows)), {}
+
+    trace = fit({}, batch_fn, 7, TrainConfig(epochs=2, batch_size=3),
+                np.random.default_rng(4), "toy")
+    ref = np.random.default_rng(4)
+    expected = [ref.permutation(7) for _ in range(2)]
+    np.testing.assert_array_equal(np.concatenate(seen[:3]), expected[0])
+    np.testing.assert_array_equal(np.concatenate(seen[3:]), expected[1])
+    assert [len(b) for b in seen] == [3, 3, 1, 3, 3, 1]
+    assert trace == [7.0 / 3.0, 7.0 / 3.0]
+
+
+def test_fit_raises_on_non_finite_loss():
+    calls = []
+
+    def batch_fn(rows):
+        calls.append(1)
+        return (np.nan if len(calls) == 3 else 1.0), {}
+
+    with pytest.raises(RuntimeError, match="toy diverged at epoch 1"):
+        fit({}, batch_fn, 4, TrainConfig(epochs=5, batch_size=2),
+            np.random.default_rng(0), "toy")
 
 
 # ---------------------------------------------------------------------------

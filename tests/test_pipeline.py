@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,35 @@ def test_warm_can_unfreeze_item_vectors():
                  finetune_items=True)
     warm = run_warm(plan)
     assert np.isfinite(warm.mae)
+
+
+# ---------------------------------------------------------------------------
+# every stage trains through the same loop
+
+STAGE_TRACES = {
+    "pretrain": ("tgt", "pretrain", lambda cold, warm: cold.artifacts["tgt_trace"]),
+    "cmf": ("cmf", "pretrain", lambda cold, warm: cold.artifacts["cmf_trace"]),
+    "emcdr": ("emcdr", "bridge", lambda cold, warm: cold.artifacts["bridge_trace"]["loss"]),
+    "ptupcdr": ("ptupcdr", "bridge",
+                lambda cold, warm: cold.artifacts["bridge_trace"]["loss"]),
+    "mapping": ("ptupcdr_mapping_ablation", "bridge",
+                lambda cold, warm: cold.artifacts["bridge_trace"]["loss"]),
+    "finetune": ("tgt", "finetune", lambda cold, warm: warm.trace),
+}
+
+
+@pytest.mark.parametrize("patience", [None, 0, 2])
+@pytest.mark.parametrize("stage", sorted(STAGE_TRACES))
+def test_patience_stops_every_stage_on_a_flat_loss(stage, patience):
+    # lr 0 and one batch per epoch: every epoch repeats the first epoch's loss
+    method, field_name, trace_of = STAGE_TRACES[stage]
+    base = _fast_plan(method)
+    flat = TrainConfig(lr=0.0, epochs=6, batch_size=10**6, patience=patience)
+    plan = replace(base, allow_off_grid_lr=True, **{field_name: flat})
+    cold = run_cold(plan)
+    trace = trace_of(cold, run_warm(plan, cold))
+    assert len(trace) == (6 if patience is None else patience + 2)
+    assert len(set(np.round(trace, 10))) == 1
 
 
 # ---------------------------------------------------------------------------
