@@ -14,7 +14,7 @@ import numpy as np
 
 from bridgerec import (ExperimentPlan, SyntheticSpec, SyntheticTask,
                        TrainConfig, run_cold, run_warm)
-from bridgerec.bridge import attention_scores
+from bridgerec.bridge import attention_table
 
 world = SyntheticSpec(n_users_src=260, n_users_tgt=260, n_overlap=200,
                       n_items_src=150, n_items_tgt=150, k_true=6,
@@ -38,10 +38,8 @@ for method in ("tgt", "emcdr", "ptupcdr"):
 # peek inside the personalization machinery for one cold-start user
 enc, ctx = keep.artifacts["enc"], keep.artifacts["ctx"]
 user = keep.split.test_users[0]
-seq = ctx.sequences[keep.src.users.index(user)][-enc.max_seq_len:]
-weights = attention_scores(enc, ctx.item_reprs[seq])
-top = np.argsort(weights)[::-1][:5]
+rows = attention_table(enc, ctx, [keep.src.users.index(user)])  # (user, item, weight)
 print(f"\nmost influential source items for cold user {user}:")
-for i in top:
-    print(f"  {keep.src.items.external(int(seq[i])):12s} weight {weights[i]:.3f}")
+for _, item, weight in sorted(rows, key=lambda row: row[2], reverse=True)[:5]:
+    print(f"  {keep.src.items.external(item):12s} weight {weight:.3f}")
 print("bridged target representation:", np.round(keep.init[user], 3))

@@ -22,9 +22,13 @@ import numpy as np
 from . import checkpoint
 from .models import (DomainModel, item_representations, item_scoring_vectors,
                      user_representations)
-from .nn import TwoLayerNet, fit, prefix_params, softmax, uniform_init
+from .nn import TwoLayerNet, fit, prefix_params, uniform_init
 
 logger = logging.getLogger(__name__)
+
+# Users per padded forward/backward block: large enough to amortize the
+# per-call overhead, small enough to keep the (n, L, k) padding off peak memory.
+BLOCK_USERS = 64
 
 
 class ColdSourceUserError(ValueError):
@@ -60,13 +64,29 @@ class MetaNetwork:
         return self.net.params()
 
 
-def _truncated(enc: CharacteristicEncoder, item_embs: np.ndarray) -> np.ndarray:
-    V = np.atleast_2d(np.asarray(item_embs, dtype=np.float64))
-    if V.shape[0] == 0:
+def _truncated(enc: CharacteristicEncoder, seq):
+    """The most recent ``max_seq_len`` entries (rows) of a sequence; all with no cap."""
+    if len(seq) == 0:
         raise ColdSourceUserError("empty source sequence: user is cold in the source domain too")
-    if enc.max_seq_len is not None and V.shape[0] > enc.max_seq_len:
-        V = V[-enc.max_seq_len:]
-    return V
+    return seq if enc.max_seq_len is None else seq[-enc.max_seq_len:]
+
+
+def _attention(enc: CharacteristicEncoder, seqs, table=None):
+    """Truncate and zero-pad item-embedding matrices (or, given ``table``, arrays of
+    its row indices) to (n, L, k); return that batch, attention weights (n, L)
+    that are 0 on padding and sum to 1 per row, and the encoder cache (padded
+    rows get zero gradient through the weights)."""
+    seqs = [_truncated(enc, seq) for seq in seqs]
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    mask = np.arange(lens.max()) < lens[:, None]
+    X = np.zeros(mask.shape + (enc.k,))
+    X[mask] = np.concatenate(seqs) if table is None else table[np.concatenate(seqs)]
+    raw, cache_h = enc.net.forward_cached(X.reshape(-1, enc.k))
+    scores = np.where(mask, raw.reshape(mask.shape), -np.inf)
+    if not np.all(np.isfinite(scores[mask])):
+        raise ValueError("softmax input must be finite")
+    z = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return X, z / z.sum(axis=1, keepdims=True), cache_h
 
 
 def attention_scores(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
@@ -75,15 +95,13 @@ def attention_scores(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
     Each raw score depends only on its own item embedding; normalization is
     per sequence.
     """
-    V = _truncated(enc, item_embs)
-    raw = enc.net.forward(V)[:, 0]
-    return softmax(raw)
+    return _attention(enc, [np.atleast_2d(item_embs)])[1][0]
 
 
 def encode_characteristic(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
     """Attention-weighted sum of the item embeddings (lies in their convex hull)."""
-    V = _truncated(enc, item_embs)
-    return attention_scores(enc, V) @ V
+    X, a, _ = _attention(enc, [np.atleast_2d(item_embs)])
+    return a[0] @ X[0]
 
 
 def generate_bridge(meta: MetaNetwork, p: np.ndarray) -> np.ndarray:
@@ -134,34 +152,44 @@ def build_context(src_model: DomainModel, tgt_model: DomainModel,
     )
 
 
-def _bridge_forward(enc: CharacteristicEncoder, meta: MetaNetwork, item_embs):
-    """Forward pass for one user, keeping every intermediate for backprop."""
-    V = _truncated(enc, item_embs)
-    raw, cache_h = enc.net.forward_cached(V)
-    a = softmax(raw[:, 0])
-    p = a @ V
-    w, cache_g = meta.net.forward_cached(p)
-    W = w.reshape(meta.k, meta.k)
-    return {"V": V, "a": a, "p": p, "W": W, "cache_h": cache_h, "cache_g": cache_g}
+def _forward(enc: CharacteristicEncoder, meta: MetaNetwork, seqs, table=None):
+    """Bridges (n, k, k) for a batch of sequences as in ``_attention``, and the backward cache."""
+    X, a, cache_h = _attention(enc, seqs, table)
+    w, cache_g = meta.net.forward_cached(np.einsum("nl,nlk->nk", a, X))
+    return w.reshape(len(X), meta.k, meta.k), (X, a, cache_h, cache_g)
 
 
-def _bridge_backward(enc, meta, fwd, dW, enc_grads, meta_grads):
-    """Accumulate d(loss)/d(theta, phi) for one user given d(loss)/d(bridge)."""
-    g_grads, dp = meta.net.backward(fwd["cache_g"], dW.reshape(-1))
-    for name, g in g_grads.items():
-        meta_grads[name] += g
-    a, V = fwd["a"], fwd["V"]
-    da = V @ dp
-    draw = a * (da - np.dot(a, da))  # softmax jacobian-vector product
-    h_grads, _ = enc.net.backward(fwd["cache_h"], draw[:, None])
-    for name, g in h_grads.items():
-        enc_grads[name] += g
+def _backward(enc, meta, cache, dW):
+    """Summed "enc.*"/"meta.*" gradients given d(loss)/d(bridges) of shape (n, k, k)."""
+    X, a, cache_h, cache_g = cache
+    g_grads, dp = meta.net.backward(cache_g, dW.reshape(len(X), -1))
+    da = np.einsum("nlk,nk->nl", X, dp)
+    draw = a * (da - np.sum(a * da, axis=1, keepdims=True))  # softmax jacobian-vector product
+    h_grads, _ = enc.net.backward(cache_h, draw.reshape(-1, 1))
+    return _namespaced(h_grads, g_grads)
 
 
-def _zero_grads(enc, meta):
-    enc_grads = {n: np.zeros_like(p) for n, p in enc.params().items()}
-    meta_grads = {n: np.zeros_like(p) for n, p in meta.params().items()}
-    return enc_grads, meta_grads
+def _bridge_loss(enc, meta, seqs, u_src, head, table=None):
+    """Sum of ``head(block, u_hat) -> (loss, d(loss)/d(u_hat))`` over user slices of
+    BLOCK_USERS, with gradients; u_src[i] goes through the bridge from seqs[i]."""
+    grads = {n: np.zeros_like(p) for n, p in _namespaced(enc.params(), meta.params()).items()}
+    loss = 0.0
+    for start in range(0, len(seqs), BLOCK_USERS):
+        block = slice(start, start + BLOCK_USERS)
+        W, cache = _forward(enc, meta, seqs[block], table)
+        S = u_src[block]
+        block_loss, d_uhat = head(block, np.einsum("nij,nj->ni", W, S))
+        loss += block_loss
+        for name, g in _backward(enc, meta, cache, np.einsum("ni,nj->nij", d_uhat, S)).items():
+            grads[name] += g
+    return loss, grads
+
+
+def _with_source(ctx: TransferContext, src_user) -> np.ndarray:
+    """Mask of entries whose user has source interactions (one lookup per distinct user)."""
+    users, inv = np.unique(src_user, return_inverse=True)
+    has = np.array([len(ctx.sequences.get(u, ())) > 0 for u in users.tolist()], dtype=bool)
+    return has[inv]
 
 
 def _namespaced(enc_side, meta_side):
@@ -184,30 +212,27 @@ def task_oriented_loss(enc: CharacteristicEncoder, meta: MetaNetwork,
     src_user = np.asarray(src_user)
     tgt_item = np.asarray(tgt_item)
     rating = np.asarray(rating, dtype=np.float64)
-    usable = np.asarray([len(ctx.sequences.get(int(u), ())) > 0 for u in src_user])
+    usable = _with_source(ctx, src_user)
     n_skipped = int((~usable).sum())
-    if n_skipped:
-        src_user, tgt_item, rating = src_user[usable], tgt_item[usable], rating[usable]
+    src_user, tgt_item, rating = src_user[usable], tgt_item[usable], rating[usable]
     B = len(rating)
     if B == 0:
         raise ValueError("no usable samples in batch")
 
-    enc_grads, meta_grads = _zero_grads(enc, meta)
-    loss = 0.0
-    for u in np.unique(src_user):
-        take = src_user == u
-        items = tgt_item[take]
-        r = rating[take]
-        fwd = _bridge_forward(enc, meta, ctx.item_reprs[ctx.sequences[int(u)]])
-        s_u = ctx.user_reprs[int(u)]
-        u_hat = fwd["W"] @ s_u
-        Q = ctx.tgt_scoring[items]
-        err = Q @ u_hat - r
-        loss += float(err @ err)
-        d_uhat = (2.0 / B) * (Q.T @ err)
-        dW = np.outer(d_uhat, s_u)
-        _bridge_backward(enc, meta, fwd, dW, enc_grads, meta_grads)
-    return loss / B, _namespaced(enc_grads, meta_grads), n_skipped
+    users, inv = np.unique(src_user, return_inverse=True)
+    Q = ctx.tgt_scoring[tgt_item]
+
+    def head(block, u_hat):
+        take = (inv >= block.start) & (inv < block.stop)
+        rows = inv[take] - block.start
+        err = np.einsum("bk,bk->b", Q[take], u_hat[rows]) - rating[take]
+        d_uhat = np.zeros_like(u_hat)
+        np.add.at(d_uhat, rows, (2.0 / B) * err[:, None] * Q[take])
+        return float(err @ err), d_uhat
+
+    seqs = [ctx.sequences[u] for u in users.tolist()]
+    loss, grads = _bridge_loss(enc, meta, seqs, ctx.user_reprs[users], head, ctx.item_reprs)
+    return loss / B, grads, n_skipped
 
 
 def mapping_oriented_loss(bridge, u_src: np.ndarray, u_tgt: np.ndarray,
@@ -231,14 +256,11 @@ def mapping_oriented_loss(bridge, u_src: np.ndarray, u_tgt: np.ndarray,
     enc, meta = bridge
     if seq_embs is None or len(seq_embs) != len(u_src):
         raise ValueError("the personalized form needs one item-embedding matrix per user")
-    enc_grads, meta_grads = _zero_grads(enc, meta)
-    loss = 0.0
-    for i in range(len(u_src)):
-        fwd = _bridge_forward(enc, meta, seq_embs[i])
-        e = fwd["W"] @ u_src[i] - u_tgt[i]
-        loss += float(e @ e)
-        _bridge_backward(enc, meta, fwd, np.outer(2.0 * e, u_src[i]), enc_grads, meta_grads)
-    return loss, _namespaced(enc_grads, meta_grads)
+    def head(block, u_hat):
+        err = u_hat - u_tgt[block]
+        return float(np.sum(err * err)), 2.0 * err
+
+    return _bridge_loss(enc, meta, seq_embs, u_src, head)
 
 
 def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
@@ -268,23 +290,23 @@ def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferConte
     """Train encoder and generator on the rating task (embeddings frozen).
 
     Mini-batch Adam over individual rating triples of the training overlap
-    users. Returns a trace with per-epoch losses and consumption counters.
+    users. Returns a trace with per-epoch losses and consumption counters;
+    triples of users with no source sequence are dropped and count as skipped.
     """
+    usable = _with_source(ctx, src_user)
+    dropped = int((~usable).sum())
+    src_user, tgt_item, rating = (np.asarray(a)[usable] for a in (src_user, tgt_item, rating))
     n = len(rating)
     if n == 0:
-        raise ValueError("no target-domain ratings of overlap users to train on")
+        raise ValueError("no target-domain ratings of overlap users with source history")
     rng = np.random.default_rng(seed)
     params = _namespaced(enc.params(), meta.params())  # same namespacing as grads
-    counts = {"consumed": 0, "skipped_samples": 0}
 
     def batch_fn(rows):
-        loss, grads, n_skip = task_oriented_loss(
-            enc, meta, ctx, src_user[rows], tgt_item[rows], rating[rows])
-        counts["consumed"] += len(rows) - n_skip
-        counts["skipped_samples"] += n_skip
-        return loss, grads
+        return task_oriented_loss(enc, meta, ctx, src_user[rows], tgt_item[rows], rating[rows])[:2]
 
     losses = fit(params, batch_fn, n, config, rng, "meta training")
+    counts = {"consumed": n * len(losses), "skipped_samples": dropped * len(losses)}
     if counts["skipped_samples"]:
         logger.warning("meta training skipped %d samples of users with no source interactions",
                        counts["skipped_samples"])
@@ -303,7 +325,7 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
     """
     src_users = np.asarray(src_users)
     tgt_users = np.asarray(tgt_users)
-    usable = np.asarray([len(ctx.sequences.get(int(u), ())) > 0 for u in src_users])
+    usable = _with_source(ctx, src_users)
     skipped = int((~usable).sum())
     src_users, tgt_users = src_users[usable], tgt_users[usable]
     n = len(src_users)
@@ -329,23 +351,20 @@ def transform_user(enc: CharacteristicEncoder, meta: MetaNetwork,
     seq = ctx.sequences.get(int(src_user))
     if seq is None or len(seq) == 0:
         raise ColdSourceUserError(f"user index {src_user} has no source interactions")
-    p = encode_characteristic(enc, ctx.item_reprs[seq])
-    W = generate_bridge(meta, p)
-    return apply_bridge(W, ctx.user_reprs[int(src_user)])
+    W, _ = _forward(enc, meta, [seq], ctx.item_reprs)
+    return W[0] @ ctx.user_reprs[int(src_user)]
 
 
 def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,
                     src_users) -> list[tuple[int, int, float]]:
     """(user, item, weight) rows for export; items are the truncated sequence."""
+    users = [int(u) for u in src_users if len(ctx.sequences.get(int(u), ())) > 0]
     rows = []
-    for u in src_users:
-        seq = ctx.sequences.get(int(u))
-        if seq is None or len(seq) == 0:
-            continue
-        if enc.max_seq_len is not None and len(seq) > enc.max_seq_len:
-            seq = seq[-enc.max_seq_len:]
-        weights = attention_scores(enc, ctx.item_reprs[seq])
-        rows.extend((int(u), int(i), float(w)) for i, w in zip(seq, weights))
+    for start in range(0, len(users), BLOCK_USERS):
+        block = users[start:start + BLOCK_USERS]
+        seqs = [_truncated(enc, ctx.sequences[u]) for u in block]
+        _, a, _ = _attention(enc, seqs, ctx.item_reprs)
+        rows += [(u, int(i), float(w)) for u, s, ws in zip(block, seqs, a) for i, w in zip(s, ws)]
     return rows
 
 

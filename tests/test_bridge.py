@@ -365,6 +365,20 @@ def test_train_meta_warns_once_about_skipped_samples(caplog):
     assert "9 samples" in warnings[0].getMessage()
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_train_meta_survives_batches_without_source_history(seed):
+    # four of six samples belong to user 1, so every epoch of 2-sample batches
+    # has a batch made only of user 1
+    ctx = _ctx(k=3)
+    ctx.sequences.pop(1)
+    su = np.array([0, 1, 1, 2, 1, 1])
+    trace = train_meta(_enc(k=3), _meta(k=3), ctx, su, np.arange(len(su)), np.full(len(su), 2.0),
+                       TrainConfig(lr=0.01, epochs=3, batch_size=2), seed=seed)
+    assert trace["epochs"] == 3
+    assert trace["skipped_samples"] == 4 * 3
+    assert trace["consumed"] == 2 * 3
+
+
 def test_train_meta_rejects_empty_supervision():
     enc, meta = _enc(k=3), _meta(k=3)
     ctx = _ctx(k=3)
