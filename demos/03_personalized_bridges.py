@@ -42,4 +42,4 @@ rows = attention_table(enc, ctx, [keep.src.users.index(user)])  # (user, item, w
 print(f"\nmost influential source items for cold user {user}:")
 for _, item, weight in sorted(rows, key=lambda row: row[2], reverse=True)[:5]:
     print(f"  {keep.src.items.external(item):12s} weight {weight:.3f}")
-print("bridged target representation:", np.round(keep.init[user], 3))
+print("bridged target representation:", np.round(keep.init[keep.split.test_users.index(user)], 3))

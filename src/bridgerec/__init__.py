@@ -11,7 +11,7 @@ from .bridge import (CharacteristicEncoder, ColdSourceUserError, MetaNetwork,
                      encode_characteristic, generate_bridge,
                      mapping_oriented_loss, task_oriented_loss,
                      train_common_bridge, train_meta, train_meta_mapping,
-                     transform_user)
+                     transform_user, transform_users)
 from .data import (DomainDataset, IdMap, MalformedRowError, RatingTriple,
                    SplitPlan, build_sequences, load_domain, make_split,
                    overlap_users, verify_split)

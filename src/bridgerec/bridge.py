@@ -345,14 +345,31 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
             "epochs": len(losses), "skipped_users": skipped}
 
 
+def transform_users(enc: CharacteristicEncoder, meta: MetaNetwork,
+                    ctx: TransferContext, src_users) -> np.ndarray:
+    """Bridge source representations into the target space; row i is src_users[i].
+
+    Users go through the kernel in blocks of BLOCK_USERS; a user without source
+    interactions raises ColdSourceUserError.
+    """
+    src_users = np.asarray(src_users, dtype=np.int64)
+    seqs = [ctx.sequences.get(u, ()) for u in src_users.tolist()]
+    for u, seq in zip(src_users, seqs):
+        if len(seq) == 0:
+            raise ColdSourceUserError(f"user index {u} has no source interactions")
+    out = np.empty((len(seqs), meta.k))
+    for start in range(0, len(seqs), BLOCK_USERS):
+        block = slice(start, start + BLOCK_USERS)
+        W, _ = _forward(enc, meta, seqs[block], ctx.item_reprs)
+        # stacked matrix-vector products: row i is exactly W[i] @ s_i
+        out[block] = (W @ ctx.user_reprs[src_users[block], :, None])[..., 0]
+    return out
+
+
 def transform_user(enc: CharacteristicEncoder, meta: MetaNetwork,
                    ctx: TransferContext, src_user: int) -> np.ndarray:
     """Bridge one user's source representation into the target space."""
-    seq = ctx.sequences.get(int(src_user))
-    if seq is None or len(seq) == 0:
-        raise ColdSourceUserError(f"user index {src_user} has no source interactions")
-    W, _ = _forward(enc, meta, [seq], ctx.item_reprs)
-    return W[0] @ ctx.user_reprs[int(src_user)]
+    return transform_users(enc, meta, ctx, [src_user])[0]
 
 
 def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,

@@ -36,8 +36,7 @@ _SYNTH_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
 _AMAZON_KEYS = {"src_path", "tgt_path", "format", "name"}
 _RUN_KEYS = {"task", "method", "base_model", "beta", "seed", "k",
              "pretrain", "bridge", "finetune",
-             "max_seq_len", "include_test_users_in_source", "finetune_items",
-             "allow_off_grid_lr", "clip_low", "clip_high",
+             "max_seq_len", "finetune_items", "allow_off_grid_lr",
              "out_dir", "stage", "checkpoint_dir", "save_checkpoints",
              "record_runtime"}
 _SUITE_KEYS = {"base", "methods", "betas", "seeds", "parallelism",
@@ -84,9 +83,8 @@ def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
         if key not in cfg:
             raise ConfigError(f"run config missing required key {key!r}")
     kwargs = {"task": _parse_task(cfg["task"]), "method": cfg["method"]}
-    for key in ("base_model", "beta", "seed", "k", "max_seq_len",
-                "include_test_users_in_source", "finetune_items",
-                "allow_off_grid_lr", "clip_low", "clip_high"):
+    for key in ("base_model", "beta", "seed", "k", "max_seq_len", "finetune_items",
+                "allow_off_grid_lr"):
         if key in cfg:
             kwargs[key] = cfg[key]
     for stage in ("pretrain", "bridge", "finetune"):
@@ -158,9 +156,8 @@ def _export_embeddings(cold, path: Path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user", "kind"] + [f"d{i}" for i in range(k)])
-        for u in cold.split.test_users:
-            if u in cold.init:
-                writer.writerow([u, "transformed"] + [f"{x:.8f}" for x in cold.init[u]])
+        for u, vec in zip(cold.split.test_users, cold.init):
+            writer.writerow([u, "transformed"] + [f"{x:.8f}" for x in vec])
         tgt_model = cold.artifacts.get("tgt_model")
         if tgt_model is not None:
             for u in cold.split.train_overlap_users:

@@ -309,6 +309,8 @@ def make_split(src: DomainDataset, tgt: DomainDataset, beta: float, seed: int) -
         raise ValueError(f"need at least 2 overlapping users, found {len(overlap)}")
 
     n_test = int(np.floor(beta * len(overlap) + 0.5))
+    if n_test == 0:
+        raise ValueError(f"beta {beta} selects no test user from {len(overlap)} overlapping users")
     rng = np.random.default_rng(seed)
     test = sorted(rng.choice(np.asarray(overlap, dtype=object), size=n_test, replace=False))
     test_set = set(test)

@@ -21,10 +21,10 @@ import numpy as np
 
 from .bridge import (CharacteristicEncoder, MetaNetwork, build_context,
                      train_common_bridge, train_meta, train_meta_mapping,
-                     transform_user)
-from .data import (DomainDataset, RatingTriple, SplitPlan, build_sequences,
-                   dataset_from_triples, filter_to_indices, load_domain,
-                   make_split, rows_by_user)
+                     transform_users)
+from .data import (RATING_MAX, RATING_MIN, DomainDataset, RatingTriple, SplitPlan,
+                   build_sequences, dataset_from_triples, filter_to_indices,
+                   load_domain, make_split)
 from .models import (TrainConfig, cmf_train, item_scoring_vectors, pretrain,
                      user_representation)
 from .nn import fit, softmax
@@ -112,11 +112,8 @@ class ExperimentPlan:
     bridge: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01, epochs=10))
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01, epochs=100))
     max_seq_len: int | None = 20
-    include_test_users_in_source: bool = True
     finetune_items: bool = False
     allow_off_grid_lr: bool = False
-    clip_low: float = 0.0
-    clip_high: float = 5.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -300,26 +297,42 @@ class MetricsReport:
 
 @dataclass
 class ColdRun:
-    """Report plus everything the warm stage and exporters need."""
+    """Report plus everything the warm stage and exporters need.
+
+    Row i of ``init`` is the initial target representation of
+    ``split.test_users[i]``.
+    """
 
     plan: ExperimentPlan
     report: MetricsReport
     src: DomainDataset
     tgt: DomainDataset
-    truth: PlantedTruth | None
     split: SplitPlan
-    tgt_train: DomainDataset
     scoring: np.ndarray
-    init: dict[str, np.ndarray]
+    init: np.ndarray
     artifacts: dict = field(default_factory=dict)
 
 
 def _resolve_data(plan: ExperimentPlan, data_seed: int):
     if isinstance(plan.task, SyntheticTask):
-        return generate_synthetic(plan.task.spec, data_seed)
-    src = load_domain(plan.task.src_path, plan.task.fmt)
-    tgt = load_domain(plan.task.tgt_path, plan.task.fmt)
-    return src, tgt, None
+        return generate_synthetic(plan.task.spec, data_seed)[:2]
+    return (load_domain(plan.task.src_path, plan.task.fmt),
+            load_domain(plan.task.tgt_path, plan.task.fmt))
+
+
+def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_user,
+              scoring: np.ndarray, E: np.ndarray, counters: dict, trace=()) -> MetricsReport:
+    """Score the target rows of user i against E[i], clipped to the rating range."""
+    preds = [np.clip(scoring[tgt.item_idx[rows]] @ e, RATING_MIN, RATING_MAX)
+             for rows, e in zip(rows_per_user, E)]
+    rows = np.concatenate(rows_per_user)
+    mae, rmse = compute_metrics(tgt.rating[rows], np.concatenate(preds))
+    report = MetricsReport(method=plan.method, beta=plan.beta, seed=plan.seed,
+                           stage=stage, mae=mae, rmse=rmse, n_eval=len(rows),
+                           counters=counters, trace=list(trace))
+    logger.info("%s %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
+                stage, plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
+    return report
 
 
 def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
@@ -327,32 +340,24 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
 
     Each test user's initial target representation (random for tgt, shared
     for cmf, bridged otherwise) is scored against every rating in their cold
-    set; predictions are clipped to the plan's rating range. ``pretrained``
+    set; predictions are clipped to [RATING_MIN, RATING_MAX]. ``pretrained``
     may inject already-trained {"src_model", "tgt_model"} to skip pre-training.
     """
     seeds = _stage_seeds(plan.seed)
-    src, tgt, truth = _resolve_data(plan, seeds["data"])
+    src, tgt = _resolve_data(plan, seeds["data"])
     split = make_split(src, tgt, plan.beta, plan.seed)
     tgt_train = filter_to_indices(tgt, split.target_train_indices)
-    if plan.include_test_users_in_source:
-        src_train = src
-    else:
-        test_src = np.asarray([src.users.index(u) for u in split.test_users])
-        src_train = filter_to_indices(src, np.flatnonzero(~np.isin(src.user_idx, test_src)))
 
-    artifacts: dict = {"truth": truth}
+    artifacts: dict = {}
+    # every test user is an overlap user, so none lacks a source sequence
     counters = {"test_users_missing_source": 0, "unseen_item_predictions": 0,
                 "skipped_meta_samples": 0}
-    init: dict[str, np.ndarray] = {}
 
     if plan.method == "cmf":
-        cmf, trace = cmf_train(src_train, tgt_train, plan.k, plan.pretrain,
-                               seed=seeds["tgt"])
-        artifacts["cmf"] = cmf
+        cmf, trace = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
         artifacts["cmf_trace"] = trace
         scoring = cmf.tgt_items
-        for u in split.test_users:
-            init[u] = cmf.users[cmf.user_map.index(u)].copy()
+        init = cmf.users[[cmf.user_map.index(u) for u in split.test_users]]
     else:
         if pretrained and "tgt_model" in pretrained:
             tgt_model, tgt_trace = pretrained["tgt_model"], []
@@ -364,20 +369,24 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
         scoring = item_scoring_vectors(tgt_model)
 
         if plan.method == "tgt":
-            for u in split.test_users:
-                init[u] = user_representation(tgt_model, tgt.users.index(u))
+            # one tower pass per user: a batched pass rounds two_tower outputs differently
+            init = np.array([user_representation(tgt_model, tgt.users.index(u))
+                             for u in split.test_users])
         else:
             if pretrained and "src_model" in pretrained:
                 src_model, src_trace = pretrained["src_model"], []
             else:
-                src_model, src_trace = pretrain(src_train, plan.k, plan.base_model,
+                src_model, src_trace = pretrain(src, plan.k, plan.base_model,
                                                 plan.pretrain, seed=seeds["src"])
             artifacts["src_model"] = src_model
             artifacts["src_trace"] = src_trace
             ctx = build_context(src_model, tgt_model, build_sequences(src))
             artifacts["ctx"] = ctx
-            train_src = np.asarray([src.users.index(u) for u in split.train_overlap_users])
-            train_tgt = np.asarray([tgt.users.index(u) for u in split.train_overlap_users])
+            train_src = np.array([src.users.index(u) for u in split.train_overlap_users],
+                                 dtype=np.int64)
+            train_tgt = np.array([tgt.users.index(u) for u in split.train_overlap_users],
+                                 dtype=np.int64)
+            test_src = [src.users.index(u) for u in split.test_users]
 
             if plan.method == "emcdr":
                 W, trace = train_common_bridge(ctx.user_reprs[train_src],
@@ -385,29 +394,24 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                                                plan.bridge, seed=seeds["bridge"])
                 artifacts["common_bridge"] = W
                 artifacts["bridge_trace"] = trace
-                for u in split.test_users:
-                    init[u] = W @ ctx.user_reprs[src.users.index(u)]
+                # stacked matrix-vector products: row i is exactly W @ s_i
+                init = (W @ ctx.user_reprs[test_src, :, None])[..., 0]
             else:
                 rng = np.random.default_rng(seeds["nets"])
                 enc = CharacteristicEncoder(plan.k, max_seq_len=plan.max_seq_len,
                                             activation=plan.bridge.activation, rng=rng)
                 meta = MetaNetwork(plan.k, activation=plan.bridge.activation, rng=rng)
                 if plan.method == "ptupcdr":
-                    groups = rows_by_user(tgt_train)
-                    su, it, rt = [], [], []
-                    for u, t_idx in zip(split.train_overlap_users, train_tgt):
-                        rows = groups.get(int(t_idx))
-                        if rows is None:
-                            continue
-                        su.append(np.full(len(rows), src.users.index(u), dtype=np.int64))
-                        it.append(tgt_train.item_idx[rows])
-                        rt.append(tgt_train.rating[rows])
-                    if not su:
-                        raise ValueError("no target-domain ratings of overlap users to train on")
-                    trace = train_meta(enc, meta, ctx,
-                                       np.concatenate(su), np.concatenate(it),
-                                       np.concatenate(rt), plan.bridge,
-                                       seed=seeds["bridge"])
+                    # target rows of the train overlap users, grouped in split order
+                    # and kept in file order within a user; other users sort last
+                    position = np.full(tgt.n_users, len(train_tgt))
+                    position[train_tgt] = np.arange(len(train_tgt))
+                    pos = position[tgt_train.user_idx]
+                    rows = np.argsort(pos, kind="stable")
+                    rows = rows[pos[rows] < len(train_tgt)]
+                    trace = train_meta(enc, meta, ctx, train_src[pos[rows]],
+                                       tgt_train.item_idx[rows], tgt_train.rating[rows],
+                                       plan.bridge, seed=seeds["bridge"])
                     counters["skipped_meta_samples"] = trace["skipped_samples"]
                 else:  # ptupcdr_mapping_ablation
                     trace = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
@@ -415,30 +419,15 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                 artifacts["enc"] = enc
                 artifacts["meta"] = meta
                 artifacts["bridge_trace"] = trace
-                for u in split.test_users:
-                    init[u] = transform_user(enc, meta, ctx, src.users.index(u))
+                init = transform_users(enc, meta, ctx, test_src)
 
+    cold_rows = [split.cold[u] for u in split.test_users]
     trained_items = np.unique(tgt_train.item_idx)
-    all_r, all_p = [], []
-    for u in split.test_users:
-        if u not in init:
-            counters["test_users_missing_source"] += 1
-            continue
-        rows = split.cold[u]
-        items = tgt.item_idx[rows]
-        counters["unseen_item_predictions"] += int(np.sum(~np.isin(items, trained_items)))
-        preds = np.clip(scoring[items] @ init[u], plan.clip_low, plan.clip_high)
-        all_r.append(tgt.rating[rows])
-        all_p.append(preds)
-    mae, rmse = compute_metrics(np.concatenate(all_r), np.concatenate(all_p))
-    report = MetricsReport(method=plan.method, beta=plan.beta, seed=plan.seed,
-                           stage="cold", mae=mae, rmse=rmse,
-                           n_eval=int(sum(len(x) for x in all_r)), counters=counters)
-    logger.info("cold %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
-                plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
-    return ColdRun(plan=plan, report=report, src=src, tgt=tgt, truth=truth,
-                   split=split, tgt_train=tgt_train, scoring=scoring, init=init,
-                   artifacts=artifacts)
+    counters["unseen_item_predictions"] = int(np.sum(
+        ~np.isin(tgt.item_idx[np.concatenate(cold_rows)], trained_items)))
+    report = _evaluate(plan, "cold", tgt, cold_rows, scoring, init, counters)
+    return ColdRun(plan=plan, report=report, src=src, tgt=tgt, split=split,
+                   scoring=scoring, init=init, artifacts=artifacts)
 
 
 # ---------------------------------------------------------------------------
@@ -450,68 +439,41 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
     Fine-tuning is joint mini-batch Adam over all test users' cold ratings;
     item vectors stay frozen unless ``plan.finetune_items`` is set. With zero
     fine-tune epochs the warm-set predictions equal the cold-stage ones. The
-    returned report carries the fine-tune loss trace.
+    returned report carries the fine-tune loss trace; ``cold`` is left as it was.
     """
     if cold is None:
         cold = run_cold(plan)
     split = cold.split
-    users = [u for u in split.test_users if u in cold.init]
-    slot = {u: i for i, u in enumerate(users)}
-    E = np.stack([cold.init[u] for u in users]) if users else np.zeros((0, plan.k))
+    E = cold.init.copy()
     Q = cold.scoring.copy() if plan.finetune_items else cold.scoring
 
-    su, it, rt = [], [], []
-    for u in users:
-        rows = split.cold[u]
-        su.append(np.full(len(rows), slot[u], dtype=np.int64))
-        it.append(cold.tgt.item_idx[rows])
-        rt.append(cold.tgt.rating[rows])
-    pool_u = np.concatenate(su) if su else np.zeros(0, dtype=np.int64)
-    pool_i = np.concatenate(it) if it else np.zeros(0, dtype=np.int64)
-    pool_r = np.concatenate(rt) if rt else np.zeros(0)
+    cold_rows = [split.cold[u] for u in split.test_users]
+    pool_u = np.repeat(np.arange(len(cold_rows)), [len(rows) for rows in cold_rows])
+    pool = np.concatenate(cold_rows)
+    pool_i, pool_r = cold.tgt.item_idx[pool], cold.tgt.rating[pool]
 
-    trace: list[float] = []
-    if len(pool_r) > 0:
-        params = {"E": E}
+    params = {"E": E}
+    if plan.finetune_items:
+        params["Q"] = Q
+
+    def batch_fn(rows):
+        uu, ii, rr = pool_u[rows], pool_i[rows], pool_r[rows]
+        pred = np.einsum("bk,bk->b", E[uu], Q[ii])
+        g = 2.0 * (pred - rr) / len(rows)
+        dE = np.zeros_like(E)
+        np.add.at(dE, uu, g[:, None] * Q[ii])
+        grads = {"E": dE}
         if plan.finetune_items:
-            params["Q"] = Q
+            dQ = np.zeros_like(Q)
+            np.add.at(dQ, ii, g[:, None] * E[uu])
+            grads["Q"] = dQ
+        return float(np.mean((pred - rr) ** 2)), grads
 
-        def batch_fn(rows):
-            uu, ii, rr = pool_u[rows], pool_i[rows], pool_r[rows]
-            pred = np.einsum("bk,bk->b", E[uu], Q[ii])
-            g = 2.0 * (pred - rr) / len(rows)
-            dE = np.zeros_like(E)
-            np.add.at(dE, uu, g[:, None] * Q[ii])
-            grads = {"E": dE}
-            if plan.finetune_items:
-                dQ = np.zeros_like(Q)
-                np.add.at(dQ, ii, g[:, None] * E[uu])
-                grads["Q"] = dQ
-            return float(np.mean((pred - rr) ** 2)), grads
-
-        trace = fit(params, batch_fn, len(pool_r), plan.finetune,
-                    np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),
-                    "warm fine-tuning")
-
-    counters = {"users_empty_warm": 0}
-    all_r, all_p = [], []
-    for u in users:
-        rows = split.warm[u]
-        if len(rows) == 0:
-            counters["users_empty_warm"] += 1
-            continue
-        items = cold.tgt.item_idx[rows]
-        preds = np.clip(Q[items] @ E[slot[u]], plan.clip_low, plan.clip_high)
-        all_r.append(cold.tgt.rating[rows])
-        all_p.append(preds)
-    mae, rmse = compute_metrics(np.concatenate(all_r), np.concatenate(all_p))
-    report = MetricsReport(method=plan.method, beta=plan.beta, seed=plan.seed,
-                           stage="warm", mae=mae, rmse=rmse,
-                           n_eval=int(sum(len(x) for x in all_r)), counters=counters,
-                           trace=trace)
-    logger.info("warm %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
-                plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
-    return report
+    trace = fit(params, batch_fn, len(pool_r), plan.finetune,
+                np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),
+                "warm fine-tuning")
+    return _evaluate(plan, "warm", cold.tgt, [split.warm[u] for u in split.test_users],
+                     Q, E, {"users_empty_warm": len(split.users_without_warm)}, trace)
 
 
 def run_plan(plan: ExperimentPlan, pretrained: dict | None = None):

@@ -11,9 +11,10 @@ gradient is 0 and whose computed value is rounding noise on both sides).
 import numpy as np
 import pytest
 
-from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, MetaNetwork,
-                              TransferContext, attention_scores, attention_table,
-                              mapping_oriented_loss, task_oriented_loss, transform_user)
+from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, ColdSourceUserError,
+                              MetaNetwork, TransferContext, attention_scores,
+                              attention_table, mapping_oriented_loss, task_oriented_loss,
+                              transform_user, transform_users)
 from bridgerec.nn import grad_check, prefix_params, softmax
 
 TOL = 1e-12
@@ -151,12 +152,19 @@ def test_mapping_loss_matches_per_user_reference(activation, max_seq_len):
 
 @pytest.mark.parametrize("activation,max_seq_len", CASES)
 def test_transform_user_matches_per_user_reference(activation, max_seq_len):
-    ctx = _world(12)
+    ctx = _world(BLOCK_USERS + 30)
     enc, meta = _nets(activation, max_seq_len)
-    for u in ctx.sequences:
+    users = np.array(sorted(ctx.sequences))
+    users = np.random.default_rng(2).permutation(np.concatenate([users, users[:5]]))
+    batched = transform_users(enc, meta, ctx, users)  # two blocks, repeated users
+    assert batched.shape == (len(users), meta.k)
+    for u, got in zip(users.tolist(), batched):
         want = ref_transform_user(enc, meta, ctx, u)
-        got = transform_user(enc, meta, ctx, u)
-        assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want))
+        tol = TOL * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol
+        assert np.max(np.abs(transform_user(enc, meta, ctx, u) - want)) <= tol
+    with pytest.raises(ColdSourceUserError):
+        transform_users(enc, meta, ctx, [0, 6])  # user 6 has no sequence
 
 
 @pytest.mark.parametrize("max_seq_len", [5, None])

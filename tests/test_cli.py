@@ -93,11 +93,14 @@ def test_run_seed_override_changes_results(tmp_path):
     assert a[0]["seed"] == 3 and b[0]["seed"] == 99
 
 
-def test_run_rejects_unknown_config_keys(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["typo_key", "include_test_users_in_source",
+                                 "clip_low", "clip_high"])
+def test_run_rejects_unknown_config_keys(tmp_path, capsys, key):
+    # the last three were plan options once; old configs must not run with them ignored
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"task": SMOKE_TASK, "method": "tgt", "typo_key": 1}))
-    assert main(["run", str(path)]) == 1
-    assert "typo_key" in capsys.readouterr().err
+    path.write_text(json.dumps({"task": SMOKE_TASK, "method": "tgt", key: 1}))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_run_meta_only_requires_checkpoints(tmp_path, capsys):

@@ -173,6 +173,9 @@ def test_split_validates_beta_and_overlap():
     lone_tgt = make_dataset([("a", "g0", 3, 0)])
     with pytest.raises(ValueError, match="overlap"):
         make_split(lone_src, lone_tgt, beta=0.5, seed=0)
+    two_src, two_tgt = _pair(n_overlap=2)  # round(0.2 * 2) = 0 test users
+    with pytest.raises(ValueError, match=r"beta 0\.2 selects no test user from 2 overlapping"):
+        make_split(two_src, two_tgt, beta=0.2, seed=0)
 
 
 def test_split_rejects_shared_item_ids():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgerec.data import build_sequences
-from bridgerec.models import TrainConfig, predict_batch, pretrain
+from bridgerec.bridge import transform_user
+from bridgerec.models import TrainConfig, predict_batch, pretrain, user_representation
 from bridgerec.pipeline import (AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, compute_metrics,
                                 generate_synthetic, run_cold, run_suite,
@@ -160,6 +161,14 @@ def test_zero_overlap_world_cannot_run():
         run_cold(_plan(spec, "ptupcdr"))
 
 
+@pytest.mark.parametrize("method", ["emcdr", "ptupcdr", "ptupcdr_mapping_ablation"])
+def test_bridge_methods_need_training_overlap_users(method):
+    # beta 0.8 of 2 overlapping users makes both of them test users
+    spec = replace(_fast_suite_spec(), n_overlap=2)
+    with pytest.raises(ValueError, match="overlap"):
+        run_cold(replace(_fast_plan(method), task=SyntheticTask(spec), beta=0.8))
+
+
 # ---------------------------------------------------------------------------
 # cold stage
 
@@ -168,8 +177,9 @@ def test_run_cold_is_deterministic():
     a = run_cold(_plan(spec, "ptupcdr"))
     b = run_cold(_plan(spec, "ptupcdr"))
     assert a.report.mae == b.report.mae and a.report.rmse == b.report.rmse
-    for u in a.init:
-        np.testing.assert_array_equal(a.init[u], b.init[u])
+    assert a.init.shape == (len(a.split.test_users), spec.k_true)
+    for i in range(len(a.split.test_users)):
+        np.testing.assert_array_equal(a.init[i], b.init[i])
 
 
 def test_cold_shared_map_is_recovered_by_both_bridge_methods():
@@ -214,15 +224,41 @@ def test_warm_zero_epochs_equals_cold_initialization():
     cold = run_cold(plan)
     warm = run_warm(plan, cold)
     r, p = [], []
-    for u in cold.split.test_users:
+    for i, u in enumerate(cold.split.test_users):
         rows = cold.split.warm[u]
         if len(rows) == 0:
             continue
         items = cold.tgt.item_idx[rows]
         r.append(cold.tgt.rating[rows])
-        p.append(np.clip(cold.scoring[items] @ cold.init[u], 0.0, 5.0))
+        p.append(np.clip(cold.scoring[items] @ cold.init[i], 0.0, 5.0))
     mae, rmse = compute_metrics(np.concatenate(r), np.concatenate(p))
     assert warm.mae == mae and warm.rmse == rmse
+
+
+@pytest.mark.parametrize("finetune_items", [False, True])
+def test_run_warm_leaves_the_cold_run_unchanged(finetune_items):
+    # exporters and demos read cold.init after the warm stage
+    plan = replace(_fast_plan("ptupcdr"), finetune_items=finetune_items)
+    cold = run_cold(plan)
+    init, scoring = cold.init.copy(), cold.scoring.copy()
+    warm = run_warm(plan, cold)
+    assert warm.trace[-1] < warm.trace[0]  # fine-tuning moved its own copies
+    np.testing.assert_array_equal(cold.init, init)
+    np.testing.assert_array_equal(cold.scoring, scoring)
+
+
+@pytest.mark.parametrize("method", ["tgt", "emcdr", "ptupcdr"])
+def test_cold_init_row_i_belongs_to_test_user_i(method):
+    cold = run_cold(_fast_plan(method))
+    art = cold.artifacts
+    for i, u in enumerate(cold.split.test_users):
+        if method == "tgt":
+            want = user_representation(art["tgt_model"], cold.tgt.users.index(u))
+        elif method == "emcdr":
+            want = art["common_bridge"] @ art["ctx"].user_reprs[cold.src.users.index(u)]
+        else:
+            want = transform_user(art["enc"], art["meta"], art["ctx"], cold.src.users.index(u))
+        np.testing.assert_allclose(cold.init[i], want, rtol=0, atol=1e-12)
 
 
 def test_warm_improves_over_cold_with_consistent_preferences():
