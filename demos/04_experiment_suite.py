@@ -23,9 +23,10 @@ base = ExperimentPlan(task=SyntheticTask(world), method="tgt", k=5, beta=0.2,
 plans = sweep_plans(base, methods=["tgt", "emcdr", "ptupcdr"], seeds=[0, 1, 2])
 rows = run_suite(plans, record_runtime=False)
 
-out = Path(tempfile.mkdtemp(prefix="bridgerec_suite_")) / "suite.csv"
-write_suite_csv(rows, out)
-print(f"wrote {out}\n")
+with tempfile.TemporaryDirectory(prefix="bridgerec_suite_") as tmp:
+    out = Path(tmp) / "suite.csv"
+    write_suite_csv(rows, out)
+    print(f"wrote {len(out.read_text().splitlines())} lines to {out} (removed on exit)\n")
 
 print(f"{'method':12s} {'stage':6s} {'seed':>4s} {'mae':>8s} {'rmse':>8s}")
 for r in rows:

@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint
 from .models import (DomainModel, item_representations, item_scoring_vectors,
                      user_representations)
-from .nn import TwoLayerNet, fit, prefix_params, uniform_init
+from .nn import TwoLayerNet, fit, prefix_params, table_grad, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -226,9 +226,7 @@ def task_oriented_loss(enc: CharacteristicEncoder, meta: MetaNetwork,
         take = (inv >= block.start) & (inv < block.stop)
         rows = inv[take] - block.start
         err = np.einsum("bk,bk->b", Q[take], u_hat[rows]) - rating[take]
-        d_uhat = np.zeros_like(u_hat)
-        np.add.at(d_uhat, rows, (2.0 / B) * err[:, None] * Q[take])
-        return float(err @ err), d_uhat
+        return float(err @ err), table_grad(u_hat, rows, (2.0 / B) * err[:, None] * Q[take])
 
     seqs = [ctx.sequences[u] for u in users.tolist()]
     loss, grads = _bridge_loss(enc, meta, seqs, ctx.user_reprs[users], head, ctx.item_reprs)

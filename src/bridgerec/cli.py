@@ -31,13 +31,14 @@ OUT_DIR_ENV = "BRIDGEREC_OUT_DIR"
 
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 
-_TRAIN_KEYS = {"lr", "epochs", "batch_size", "activation", "patience"}
+_STAGES = ("pretrain", "bridge", "finetune")
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _SYNTH_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
 _AMAZON_KEYS = {"src_path", "tgt_path", "format", "name"}
-_RUN_KEYS = {"task", "method", "base_model", "beta", "seed", "k",
-             "pretrain", "bridge", "finetune",
-             "max_seq_len", "finetune_items", "allow_off_grid_lr",
-             "out_dir", "stage", "checkpoint_dir", "save_checkpoints",
+_PLAN_KEYS = [f.name for f in dataclasses.fields(ExperimentPlan)]
+# plan fields a run config sets directly; task, method and the stages are parsed
+_PLAN_SCALAR_KEYS = [k for k in _PLAN_KEYS if k not in ("task", "method", *_STAGES)]
+_RUN_KEYS = {*_PLAN_KEYS, "out_dir", "stage", "checkpoint_dir", "save_checkpoints",
              "record_runtime"}
 _SUITE_KEYS = {"base", "methods", "betas", "seeds", "parallelism",
                "record_runtime", "out_dir", "export_attention"}
@@ -83,11 +84,10 @@ def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
         if key not in cfg:
             raise ConfigError(f"run config missing required key {key!r}")
     kwargs = {"task": _parse_task(cfg["task"]), "method": cfg["method"]}
-    for key in ("base_model", "beta", "seed", "k", "max_seq_len", "finetune_items",
-                "allow_off_grid_lr"):
+    for key in _PLAN_SCALAR_KEYS:
         if key in cfg:
             kwargs[key] = cfg[key]
-    for stage in ("pretrain", "bridge", "finetune"):
+    for stage in _STAGES:
         parsed = _parse_train(cfg.get(stage), stage)
         if parsed is not None:
             kwargs[stage] = parsed

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import DomainDataset, IdMap
-from .nn import TwoLayerNet, fit, prefix_params, uniform_init
+from .nn import ACTIVATIONS, TwoLayerNet, fit, prefix_params, table_grad, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must be None or >= 0, got {self.patience}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 class DomainModel:
@@ -136,6 +138,14 @@ def item_scoring_vectors(model: DomainModel) -> np.ndarray:
     return model.item_net.forward(model.items)
 
 
+def dot_mse(U: np.ndarray, V: np.ndarray, ratings: np.ndarray):
+    """Mean squared error of the row-wise dot products U[b] . V[b] against
+    ``ratings``, and its gradients: returns (loss, dU, dV)."""
+    pred = np.einsum("bk,bk->b", U, V)
+    g = 2.0 * (pred - ratings) / len(ratings)
+    return float(np.mean((pred - ratings) ** 2)), g[:, None] * V, g[:, None] * U
+
+
 def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarray,
                    ratings: np.ndarray):
     """Mean squared error of a batch and its gradients w.r.t. all parameters.
@@ -143,40 +153,32 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     This is the exact computation one training step performs. Embedding
     gradients come back as dense tables (rows outside the batch are zero).
     """
-    B = len(ratings)
     U = model.users[user_idx]
     V = model.items[item_idx]
     grads: dict[str, np.ndarray] = {}
 
     if model.head == "mf":
-        pred = np.einsum("bk,bk->b", U, V)
-        g = 2.0 * (pred - ratings) / B
-        dU = g[:, None] * V
-        dV = g[:, None] * U
+        loss, dU, dV = dot_mse(U, V, ratings)
     elif model.head == "gmf":
+        # kept apart from dot_mse: (U * V) @ w multiplies in a different order
         w = model.gmf_weights
         pred = (U * V) @ w
-        g = 2.0 * (pred - ratings) / B
+        g = 2.0 * (pred - ratings) / len(ratings)
         dU = g[:, None] * (V * w)
         dV = g[:, None] * (U * w)
         grads["gmf_weights"] = (U * V).T @ g
+        loss = float(np.mean((pred - ratings) ** 2))
     else:
         A, cache_u = model.user_net.forward_cached(U)
         Bv, cache_i = model.item_net.forward_cached(V)
-        pred = np.einsum("bk,bk->b", A, Bv)
-        g = 2.0 * (pred - ratings) / B
-        net_u, dU = model.user_net.backward(cache_u, g[:, None] * Bv)
-        net_i, dV = model.item_net.backward(cache_i, g[:, None] * A)
+        loss, dA, dB = dot_mse(A, Bv, ratings)
+        net_u, dU = model.user_net.backward(cache_u, dA)
+        net_i, dV = model.item_net.backward(cache_i, dB)
         grads.update(prefix_params("user_net.", net_u))
         grads.update(prefix_params("item_net.", net_i))
 
-    d_users = np.zeros_like(model.users)
-    d_items = np.zeros_like(model.items)
-    np.add.at(d_users, user_idx, dU)
-    np.add.at(d_items, item_idx, dV)
-    grads["users"] = d_users
-    grads["items"] = d_items
-    loss = float(np.mean((pred - ratings) ** 2))
+    grads["users"] = table_grad(model.users, user_idx, dU)
+    grads["items"] = table_grad(model.items, item_idx, dV)
     return loss, grads
 
 
@@ -228,15 +230,11 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
     config = config or TrainConfig()
     if src.n_ratings + tgt.n_ratings == 0:
         raise ValueError("cannot train CMF with no ratings in either domain")
+    # seeded from the source users, so source user i keeps index i
     user_map = IdMap.from_ids(src.users.backward)
-    for ext in tgt.users.backward:
-        user_map.add(ext)
-
-    src_u = np.asarray([user_map.index(src.users.external(i)) for i in src.user_idx],
-                       dtype=np.int64)
-    tgt_u = np.asarray([user_map.index(tgt.users.external(i)) for i in tgt.user_idx],
-                       dtype=np.int64)
-    pool_u = np.concatenate([src_u, tgt_u])
+    tgt_to_shared = np.asarray([user_map.add(ext) for ext in tgt.users.backward],
+                               dtype=np.int64)
+    pool_u = np.concatenate([src.user_idx, tgt_to_shared[tgt.user_idx]])
     pool_i = np.concatenate([src.item_idx, tgt.item_idx])
     pool_r = np.concatenate([src.rating, tgt.rating])
     in_tgt = np.concatenate([np.zeros(src.n_ratings, dtype=bool),
@@ -251,27 +249,14 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
     params = {"users": users, "src_items": src_items, "tgt_items": tgt_items}
 
     def batch_fn(batch):
-        u = pool_u[batch]
-        i = pool_i[batch]
-        r = pool_r[batch]
-        t = in_tgt[batch]
-        B = len(batch)
-        V = np.empty((B, k))
+        u, i, t = pool_u[batch], pool_i[batch], in_tgt[batch]
+        V = np.empty((len(batch), k))
         V[~t] = src_items[i[~t]]
         V[t] = tgt_items[i[t]]
-        U = users[u]
-        pred = np.einsum("bk,bk->b", U, V)
-        g = 2.0 * (pred - r) / B
-        dU = g[:, None] * V
-        dV = g[:, None] * U
-        d_users = np.zeros_like(users)
-        d_src = np.zeros_like(src_items)
-        d_tgt = np.zeros_like(tgt_items)
-        np.add.at(d_users, u, dU)
-        np.add.at(d_src, i[~t], dV[~t])
-        np.add.at(d_tgt, i[t], dV[t])
-        loss = float(np.mean((pred - r) ** 2))
-        return loss, {"users": d_users, "src_items": d_src, "tgt_items": d_tgt}
+        loss, dU, dV = dot_mse(users[u], V, pool_r[batch])
+        return loss, {"users": table_grad(users, u, dU),
+                      "src_items": table_grad(src_items, i[~t], dV[~t]),
+                      "tgt_items": table_grad(tgt_items, i[t], dV[t])}
 
     trace = fit(params, batch_fn, len(pool_r), config, rng, "cmf")
     return model, trace

@@ -33,6 +33,14 @@ def prefix_params(prefix: str, params: dict) -> dict:
     return {prefix + name: arr for name, arr in params.items()}
 
 
+def table_grad(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dense gradient of ``table`` given gradients ``rows`` of the gathered rows
+    ``table[idx]``: repeated indices sum, rows outside ``idx`` stay zero."""
+    grad = np.zeros_like(table)
+    np.add.at(grad, idx, rows)
+    return grad
+
+
 class TwoLayerNet:
     """Feed-forward net  x -> act(x @ W1 + b1) @ W2 + b2.
 

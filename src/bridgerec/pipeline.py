@@ -25,9 +25,9 @@ from .bridge import (CharacteristicEncoder, MetaNetwork, build_context,
 from .data import (RATING_MAX, RATING_MIN, DomainDataset, RatingTriple, SplitPlan,
                    build_sequences, dataset_from_triples, filter_to_indices,
                    load_domain, make_split)
-from .models import (TrainConfig, cmf_train, item_scoring_vectors, pretrain,
+from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
-from .nn import fit, softmax
+from .nn import fit, softmax, table_grad
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +124,9 @@ class ExperimentPlan:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.finetune.activation != TrainConfig.activation:
+            raise ValueError(f"finetune activation {self.finetune.activation!r} has no effect: "
+                             "warm fine-tuning trains no net")
         if not self.allow_off_grid_lr:
             for stage, cfg in (("pretrain", self.pretrain), ("bridge", self.bridge),
                                ("finetune", self.finetune)):
@@ -346,6 +349,9 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     seeds = _stage_seeds(plan.seed)
     src, tgt = _resolve_data(plan, seeds["data"])
     split = make_split(src, tgt, plan.beta, plan.seed)
+    if len(split.users_without_warm) == len(split.test_users):
+        raise ValueError(f"none of the {len(split.test_users)} test users has a warm rating, "
+                         "so the warm stage would have nothing to score")
     tgt_train = filter_to_indices(tgt, split.target_train_indices)
 
     artifacts: dict = {}
@@ -457,17 +463,12 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
         params["Q"] = Q
 
     def batch_fn(rows):
-        uu, ii, rr = pool_u[rows], pool_i[rows], pool_r[rows]
-        pred = np.einsum("bk,bk->b", E[uu], Q[ii])
-        g = 2.0 * (pred - rr) / len(rows)
-        dE = np.zeros_like(E)
-        np.add.at(dE, uu, g[:, None] * Q[ii])
-        grads = {"E": dE}
+        uu, ii = pool_u[rows], pool_i[rows]
+        loss, dE, dQ = dot_mse(E[uu], Q[ii], pool_r[rows])
+        grads = {"E": table_grad(E, uu, dE)}
         if plan.finetune_items:
-            dQ = np.zeros_like(Q)
-            np.add.at(dQ, ii, g[:, None] * E[uu])
-            grads["Q"] = dQ
-        return float(np.mean((pred - rr) ** 2)), grads
+            grads["Q"] = table_grad(Q, ii, dQ)
+        return loss, grads
 
     trace = fit(params, batch_fn, len(pool_r), plan.finetune,
                 np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),

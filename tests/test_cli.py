@@ -193,7 +193,8 @@ def test_run_emits_training_trace_csvs(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"batch_size": 0}, {"batch_size": -1},
-                                 {"epochs": -1}, {"patience": -1}])
+                                 {"epochs": -1}, {"patience": -1},
+                                 {"activation": "sigmoid"}])
 def test_run_rejects_invalid_train_config(tmp_path, capsys, bad):
     field_name = next(iter(bad))
     with pytest.raises(ValueError, match=field_name):
@@ -201,4 +202,17 @@ def test_run_rejects_invalid_train_config(tmp_path, capsys, bad):
     cfg = _run_config(tmp_path, bridge={"lr": 0.01, "epochs": 20, **bad})
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert field_name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_without_warm_ratings_fails_before_pretraining(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("bridgerec.pipeline.pretrain", no_training)
+    monkeypatch.setattr("bridgerec.pipeline.cmf_train", no_training)
+    # one target rating per user: every test user's only rating lands in the cold set
+    cfg = _run_config(tmp_path, task={**SMOKE_TASK, "ratings_per_user": 1})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "none of the 28 test users has a warm rating" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()

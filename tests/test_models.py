@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bridgerec.data import dataset_from_triples
-from bridgerec.models import (DomainModel, TrainConfig, cmf_train, load_model,
+from bridgerec.models import (DomainModel, TrainConfig, cmf_train, dot_mse, load_model,
                               loss_and_grads, predict_batch, pretrain,
                               save_model, score, user_representation)
-from bridgerec.nn import grad_check
+from bridgerec.nn import grad_check, table_grad
 from conftest import make_dataset
 
 
@@ -100,6 +100,23 @@ def test_head_gradients_pass_grad_check(head):
                      lambda p: loss_and_grads(m, u, i, r)[1],
                      m.params(), eps=1e-5)
     assert err < 1e-4
+
+
+def test_dot_mse_table_gradients_pass_grad_check():
+    # the batch loss of cmf_train and of warm fine-tuning: rows gathered with repeats
+    rng = np.random.default_rng(5)
+    params = {"users": rng.normal(size=(3, 4)), "items": rng.normal(size=(5, 4))}
+    u = np.array([0, 2, 0, 2, 1, 0])
+    i = np.array([4, 1, 1, 4, 0, 4])
+    r = rng.uniform(0, 5, len(u))
+
+    def grads(p):
+        _, dU, dV = dot_mse(p["users"][u], p["items"][i], r)
+        return {"users": table_grad(p["users"], u, dU), "items": table_grad(p["items"], i, dV)}
+
+    err = grad_check(lambda p: dot_mse(p["users"][u], p["items"][i], r)[0], grads,
+                     params, eps=1e-5)
+    assert err < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgerec.models import TrainConfig
-from bridgerec.nn import Adam, TwoLayerNet, fit, grad_check, softmax, uniform_init
+from bridgerec.nn import (Adam, TwoLayerNet, fit, grad_check, softmax, table_grad,
+                          uniform_init)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,14 @@ def _scalar_adam_reference(w0, grad_of, lr, steps):
         vh = v / (1.0 - 0.999 ** t)
         w -= lr * mh / (math.sqrt(vh) + 1e-8)
     return w
+
+
+def test_table_grad_sums_repeated_rows_and_zeros_the_rest():
+    table = np.ones((5, 2))
+    rows = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
+    grad = table_grad(table, np.array([3, 0, 3]), rows)
+    np.testing.assert_array_equal(grad, [[10, 20], [0, 0], [0, 0], [101, 202], [0, 0]])
+    np.testing.assert_array_equal(table, np.ones((5, 2)))
 
 
 def test_adam_zero_gradient_is_a_noop():
