@@ -9,7 +9,7 @@ the matrix essentially exactly.
 import numpy as np
 
 from bridgerec import TrainConfig, pretrain
-from bridgerec.data import RatingTriple, dataset_from_triples
+from bridgerec.data import dataset_from_columns
 from bridgerec.models import predict_batch
 
 rng = np.random.default_rng(7)
@@ -18,9 +18,9 @@ V = rng.uniform(0.2, 1.2, (25, 3))
 R = U @ V.T
 print(f"planted 25x25 rating matrix, values in [{R.min():.2f}, {R.max():.2f}]")
 
-dataset = dataset_from_triples(
-    [RatingTriple(f"u{a}", f"i{b}", float(R[a, b]), a * 25 + b)
-     for a in range(25) for b in range(25)])
+rows, cols = np.divmod(np.arange(25 * 25), 25)
+dataset = dataset_from_columns([f"u{a}" for a in rows], [f"i{b}" for b in cols],
+                               R.ravel(), np.arange(25 * 25))
 
 for head in ("mf", "gmf", "two_tower"):
     model, trace = pretrain(dataset, k=3, head=head,

@@ -12,9 +12,9 @@ from .bridge import (CharacteristicEncoder, ColdSourceUserError, MetaNetwork,
                      mapping_oriented_loss, task_oriented_loss,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_user, transform_users)
-from .data import (DomainDataset, IdMap, MalformedRowError, RatingTriple,
-                   SplitPlan, build_sequences, load_domain, make_split,
-                   overlap_users, verify_split)
+from .data import (DomainDataset, IdMap, MalformedRowError, SplitPlan,
+                   build_sequences, dataset_from_columns, load_domain,
+                   make_split, overlap_users, verify_split)
 from .models import (CmfModel, DomainModel, TrainConfig, cmf_train, pretrain,
                      score, user_representation)
 from .nn import Adam, TwoLayerNet, fit, grad_check, softmax

@@ -136,12 +136,8 @@ def _write_traces(cold, warm, out_dir: Path) -> None:
 
 
 def _export_attention(cold, path: Path) -> None:
-    enc = cold.artifacts.get("enc")
-    ctx = cold.artifacts.get("ctx")
-    if enc is None or ctx is None:
-        raise ConfigError("attention export needs a ptupcdr-family method")
     src_idx = [cold.src.users.index(u) for u in cold.split.test_users]
-    rows = attention_table(enc, ctx, src_idx)
+    rows = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user", "item", "weight"])
@@ -270,6 +266,8 @@ def cmd_suite(args) -> int:
 def cmd_export(args) -> int:
     cfg = _load_json(args.config)
     plan = build_plan(cfg, args.seed)
+    if args.what in ("attention", "both") and plan.method not in BRIDGE_NET_METHODS:
+        raise ConfigError("attention export needs a ptupcdr-family method")
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
     cold = run_cold(plan, pretrained=_load_pretrained(cfg, plan))
     if args.what in ("attention", "both"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,14 +29,6 @@ JSONL_FIELDS = {"user": "reviewerID", "item": "asin",
 
 class MalformedRowError(ValueError):
     """A row that cannot be parsed; the message names the offending line."""
-
-
-@dataclass(frozen=True)
-class RatingTriple:
-    user: str
-    item: str
-    rating: float
-    timestamp: int
 
 
 class IdMap:
@@ -100,23 +93,19 @@ class DomainDataset:
         return len(self.items)
 
 
-def dataset_from_triples(triples, rejected: int = 0) -> DomainDataset:
-    """Build a dataset from RatingTriple records, assigning ids in first-seen order."""
-    users = IdMap()
-    items = IdMap()
-    u, i, r, t = [], [], [], []
-    for tr in triples:
-        u.append(users.add(tr.user))
-        i.append(items.add(tr.item))
-        r.append(tr.rating)
-        t.append(tr.timestamp)
+def dataset_from_columns(users, items, ratings, timestamps, rejected: int = 0) -> DomainDataset:
+    """Build a dataset from four equal-length columns, assigning ids in first-seen order."""
+    user_ids: dict[str, int] = {}
+    item_ids: dict[str, int] = {}
+    user_idx = [user_ids.setdefault(u, len(user_ids)) for u in users]
+    item_idx = [item_ids.setdefault(i, len(item_ids)) for i in items]
     return DomainDataset(
-        users=users,
-        items=items,
-        user_idx=np.asarray(u, dtype=np.int64),
-        item_idx=np.asarray(i, dtype=np.int64),
-        rating=np.asarray(r, dtype=np.float64),
-        timestamp=np.asarray(t, dtype=np.int64),
+        users=IdMap.from_ids(user_ids),
+        items=IdMap.from_ids(item_ids),
+        user_idx=np.asarray(user_idx, dtype=np.int64),
+        item_idx=np.asarray(item_idx, dtype=np.int64),
+        rating=np.asarray(ratings, dtype=np.float64),
+        timestamp=np.asarray(timestamps, dtype=np.int64),
         rejected_out_of_range=rejected,
     )
 
@@ -133,25 +122,32 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
         ts = int(timestamp)
     except (TypeError, ValueError) as exc:
         raise MalformedRowError(f"line {line_no}: {exc}") from None
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise MalformedRowError(f"line {line_no}: non-finite rating")
     if ts < 0:
         raise MalformedRowError(f"line {line_no}: negative timestamp {ts}")
-    return RatingTriple(user, item, r, ts)
+    return user, item, r, ts
 
 
 def _iter_csv(path: Path):
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
             return  # zero-byte file: empty dataset
-        missing = [c for c in CSV_FIELDS if c not in reader.fieldnames]
+        # a repeated column name keeps its last position, as in csv.DictReader
+        col = {name: pos for pos, name in enumerate(header)}
+        missing = [c for c in CSV_FIELDS if c not in col]
         if missing:
             raise MalformedRowError(f"line 1: header missing columns {missing}")
+        u, i, r, t = (col[c] for c in CSV_FIELDS)
+        width = max(u, i, r, t) + 1
         for row in reader:
-            yield _parse_fields(row.get("user"), row.get("item"),
-                                row.get("rating"), row.get("timestamp"),
-                                reader.line_num)
+            if not row:
+                continue  # blank row
+            if len(row) < width:  # short row: its last fields are missing
+                row += [None] * (width - len(row))
+            yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
 
 
 def _iter_jsonl(path: Path):
@@ -163,6 +159,8 @@ def _iter_jsonl(path: Path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRowError(f"line {line_no}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRowError(f"line {line_no}: expected a JSON object")
             yield _parse_fields(rec.get(JSONL_FIELDS["user"]), rec.get(JSONL_FIELDS["item"]),
                                 rec.get(JSONL_FIELDS["rating"]), rec.get(JSONL_FIELDS["timestamp"]),
                                 line_no)
@@ -187,15 +185,17 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
 
-    rows = _iter_csv(path) if fmt == "csv" else _iter_jsonl(path)
-    kept = []
+    columns = users, items, ratings, timestamps = [], [], [], []
     rejected = 0
-    for tr in rows:
-        if RATING_MIN <= tr.rating <= RATING_MAX:
-            kept.append(tr)
+    for user, item, r, ts in _iter_csv(path) if fmt == "csv" else _iter_jsonl(path):
+        if RATING_MIN <= r <= RATING_MAX:
+            users.append(user)
+            items.append(item)
+            ratings.append(r)
+            timestamps.append(ts)
         else:
             rejected += 1
-    ds = dataset_from_triples(kept, rejected)
+    ds = dataset_from_columns(*columns, rejected)
     logger.info("loaded %s: %d ratings, %d users, %d items (%d out-of-range rows rejected)",
                 path.name, ds.n_ratings, ds.n_users, ds.n_items, rejected)
     return ds

@@ -22,9 +22,8 @@ import numpy as np
 from .bridge import (CharacteristicEncoder, MetaNetwork, build_context,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_users)
-from .data import (RATING_MAX, RATING_MIN, DomainDataset, RatingTriple, SplitPlan,
-                   build_sequences, dataset_from_triples, filter_to_indices,
-                   load_domain, make_split)
+from .data import (RATING_MAX, RATING_MIN, DomainDataset, SplitPlan, build_sequences,
+                   dataset_from_columns, filter_to_indices, load_domain, make_split)
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
 from .nn import fit, softmax, table_grad
@@ -225,9 +224,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
         clusters = rng.integers(spec.n_clusters, size=count)
         item_factors[prefix] = np.stack([draw_factor(int(c)) for c in clusters])
 
-    def domain_triples(prefix, side):
+    def domain_dataset(prefix, side):
         factors = item_factors[prefix]
-        triples = []
+        names = [f"{prefix}{j:05d}" for j in range(len(factors))]
+        columns = user_col, item_col, rating_col, time_col = [], [], [], []
         for ext, (c, us, ut) in users.items():
             vec = us if side == "src" else ut
             if vec is None:
@@ -238,12 +238,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
             if spec.noise_sd > 0:
                 r = r + rng.normal(0.0, spec.noise_sd, len(chosen))
             r = np.clip(r, 0.0, 5.0)
-            for t, (j, rv) in enumerate(zip(chosen, r)):
-                triples.append(RatingTriple(ext, f"{prefix}{int(j):05d}", float(rv), t))
-        return triples
+            user_col.extend([ext] * len(chosen))
+            item_col.extend([names[j] for j in chosen.tolist()])
+            rating_col.extend(r.tolist())
+            time_col.extend(range(len(chosen)))
+        return dataset_from_columns(*columns)
 
-    src = dataset_from_triples(domain_triples("si", "src"))
-    tgt = dataset_from_triples(domain_triples("ti", "tgt"))
+    src = domain_dataset("si", "src")
+    tgt = domain_dataset("ti", "tgt")
 
     def aligned(ds, table, side):
         if table == "users":

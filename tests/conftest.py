@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bridgerec.data import RatingTriple, dataset_from_triples
+from bridgerec.data import dataset_from_columns
 
 
 @pytest.fixture
@@ -37,8 +37,8 @@ def pair_csvs(tmp_path):
 
 
 def make_dataset(rows):
-    """rows: iterable of (user, item, rating, timestamp)."""
-    return dataset_from_triples([RatingTriple(u, i, float(r), int(t)) for u, i, r, t in rows])
+    """rows: non-empty iterable of (user, item, rating, timestamp)."""
+    return dataset_from_columns(*zip(*rows))
 
 
 @pytest.fixture

@@ -45,6 +45,18 @@ def test_prepare_rejects_bad_beta(tmp_path, pair_csvs, capsys):
     assert "--beta" in capsys.readouterr().err
 
 
+def test_prepare_reports_a_json_line_that_is_not_an_object(tmp_path, pair_csvs, capsys):
+    src, _ = pair_csvs
+    tgt = tmp_path / "tgt.jsonl"
+    tgt.write_text('{"reviewerID": "u1", "asin": "g0", "overall": 4.0, "unixReviewTime": 1}\n'
+                   "[1, 2]\n")
+    rc = main(["prepare", str(src), str(tgt), "--beta", "0.4", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 2: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -178,6 +190,18 @@ def test_export_attention_needs_bridge_method(tmp_path, capsys):
                "--out-dir", str(tmp_path / "e")])
     assert rc == 1
     assert "ptupcdr" in capsys.readouterr().err
+
+
+def test_export_rejects_attention_before_the_cold_stage(tmp_path, capsys, monkeypatch):
+    def no_cold_stage(*args, **kwargs):
+        raise AssertionError("the cold stage ran")
+
+    monkeypatch.setattr("bridgerec.cli.run_cold", no_cold_stage)
+    monkeypatch.setattr("bridgerec.pipeline.pretrain", no_cold_stage)
+    cfg = _run_config(tmp_path, method="emcdr")
+    assert main(["export", str(cfg), "--what", "both", "--out-dir", str(tmp_path / "e")]) == 1
+    assert "attention export needs a ptupcdr-family method" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_run_emits_training_trace_csvs(tmp_path):

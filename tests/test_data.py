@@ -1,13 +1,19 @@
+import csv
+import io
 import json
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgerec.data import (IdMap, MalformedRowError, build_sequences,
-                            filter_to_indices, load_domain, make_split,
-                            overlap_users, verify_split)
+from bridgerec.data import (CSV_FIELDS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
+                            DomainDataset, IdMap, MalformedRowError,
+                            build_sequences, filter_to_indices, load_domain,
+                            make_split, overlap_users, verify_split)
 from conftest import make_dataset
 
 
@@ -71,6 +77,221 @@ def test_missing_file_and_bad_format(tmp_path):
     (tmp_path / "a.csv").write_text("user,item,rating,timestamp\n")
     with pytest.raises(ValueError):
         load_domain(tmp_path / "a.csv", "parquet")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
+def test_jsonl_line_that_is_not_an_object_is_malformed(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"reviewerID": "A1", "asin": "B1", "overall": 4.0, "unixReviewTime": 1}\n'
+                    f"\n{line}\n")
+    with pytest.raises(MalformedRowError, match=r"^line 3: expected a JSON object$"):
+        load_domain(path)
+
+
+# ---------------------------------------------------------------------------
+# columnar loading against the per-row reference
+#
+# The reference is the loader load_domain replaced: csv.DictReader, one
+# RatingTriple per row and a scalar np.isfinite check. The columnar parser
+# must give the same id maps, arrays, rejection count and error messages.
+
+@dataclass(frozen=True)
+class RatingTriple:
+    user: str
+    item: str
+    rating: float
+    timestamp: int
+
+
+def _ref_parse_fields(user, item, rating, timestamp, line_no):
+    if user is None or item is None or rating is None or timestamp is None:
+        raise MalformedRowError(f"line {line_no}: missing field")
+    user = str(user)
+    item = str(item)
+    if not user or not item:
+        raise MalformedRowError(f"line {line_no}: empty user or item id")
+    try:
+        r = float(rating)
+        ts = int(timestamp)
+    except (TypeError, ValueError) as exc:
+        raise MalformedRowError(f"line {line_no}: {exc}") from None
+    if not np.isfinite(r):
+        raise MalformedRowError(f"line {line_no}: non-finite rating")
+    if ts < 0:
+        raise MalformedRowError(f"line {line_no}: negative timestamp {ts}")
+    return RatingTriple(user, item, r, ts)
+
+
+def _ref_iter_csv(path):
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None:
+            return
+        missing = [c for c in CSV_FIELDS if c not in reader.fieldnames]
+        if missing:
+            raise MalformedRowError(f"line 1: header missing columns {missing}")
+        for row in reader:
+            yield _ref_parse_fields(row.get("user"), row.get("item"),
+                                    row.get("rating"), row.get("timestamp"),
+                                    reader.line_num)
+
+
+def _ref_iter_jsonl(path):
+    with open(path) as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRowError(f"line {line_no}: {exc}") from None
+            yield _ref_parse_fields(*(rec.get(JSONL_FIELDS[c]) for c in CSV_FIELDS), line_no)
+
+
+def ref_load_domain(path, fmt):
+    rows = _ref_iter_csv(path) if fmt == "csv" else _ref_iter_jsonl(path)
+    users, items = IdMap(), IdMap()
+    u, i, r, t = [], [], [], []
+    rejected = 0
+    for tr in rows:
+        if not RATING_MIN <= tr.rating <= RATING_MAX:
+            rejected += 1
+            continue
+        u.append(users.add(tr.user))
+        i.append(items.add(tr.item))
+        r.append(tr.rating)
+        t.append(tr.timestamp)
+    return DomainDataset(users=users, items=items,
+                         user_idx=np.asarray(u, dtype=np.int64),
+                         item_idx=np.asarray(i, dtype=np.int64),
+                         rating=np.asarray(r, dtype=np.float64),
+                         timestamp=np.asarray(t, dtype=np.int64),
+                         rejected_out_of_range=rejected)
+
+
+def _load_both(text: str, fmt: str):
+    """(columnar result, reference result), each a DomainDataset or the exception raised."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"log.{fmt}"
+        path.write_text(text, newline="")
+        for load in (load_domain, ref_load_domain):
+            try:
+                outcomes.append(load(path, fmt))
+            except Exception as exc:  # compared below, so any error must match
+                outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_load(text: str, fmt: str):
+    got, want = _load_both(text, fmt)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, DomainDataset), got
+    for side in ("users", "items"):
+        assert getattr(got, side).forward == getattr(want, side).forward
+        assert getattr(got, side).backward == getattr(want, side).backward
+    for name in ("user_idx", "item_idx", "rating", "timestamp"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got.rejected_out_of_range == want.rejected_out_of_range
+
+
+# each field draws from clean values, or from every value (clean ones included)
+# for the rows the log marks messy; out-of-range ratings are clean
+CLEAN = {"user": ["u1", "u2", "a,b", "x\ny", 'say "hi"', " "],
+         "item": ["i1", "i2", "i,3", "multi\nline"],
+         "rating": ["0", "5", "5.0", "0.0", "2.5", "-0.5", "5.01", "7"],
+         "timestamp": ["0", "3", "12"],
+         "note": ["", "n,1", "multi\nline"]}
+MESSY = {"user": [""], "item": [""], "note": [],
+         "rating": ["nan", "inf", "-inf", "abc", "", "1e400"],
+         "timestamp": ["-2", "1.5", "x", ""]}
+
+
+@st.composite
+def csv_logs(draw):
+    columns = list(draw(st.permutations([*CSV_FIELDS, "note"])))
+    if draw(st.booleans()):  # a repeated name resolves to its last position
+        columns.insert(draw(st.integers(0, len(columns))), draw(st.sampled_from(CSV_FIELDS)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        columns.remove(draw(st.sampled_from(CSV_FIELDS)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["clean"] * 8 + ["messy", "blank", "short", "long"]))
+        if shape == "blank":
+            writer.writerow([])
+            continue
+        pools = {c: CLEAN[c] + (MESSY[c] if shape == "messy" else []) for c in CLEAN}
+        row = [draw(st.sampled_from(pools[c])) for c in columns]
+        if shape == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row.append("extra")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+JSON_CLEAN = {"reviewerID": ["u1", "A,B", "3.5", 3.5, 12, -4],
+              "asin": ["i1", "x", 7, 1.5],
+              "overall": [0, 5, 7, -2, 1.5, 0.0, 5.0, 5.01, -0.5, "3.5", True],
+              "unixReviewTime": [0, 12, "12", 1.5, True]}
+JSON_MESSY = {"reviewerID": ["", None], "asin": ["", None],
+              "overall": [float("nan"), float("inf"), "x", "", None],
+              "unixReviewTime": [-2, "x", "1.5", float("nan"), float("inf"), None]}
+
+
+@st.composite
+def jsonl_logs(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["clean"] * 8 + ["messy", "blank", "broken"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        elif kind == "broken":
+            lines.append('{"reviewerID": ')
+        else:
+            pools = {k: v + (JSON_MESSY[k] if kind == "messy" else [])
+                     for k, v in JSON_CLEAN.items()}
+            rec = {k: draw(st.sampled_from(v)) for k, v in pools.items()}
+            if kind == "messy" and draw(st.booleans()):
+                del rec[draw(st.sampled_from(sorted(rec)))]
+            if draw(st.booleans()):
+                rec["summary"] = "extra key"
+            lines.append(json.dumps(rec))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_logs())
+def test_csv_columns_match_dictreader_reference(text):
+    _assert_same_load(text, "csv")
+
+
+@settings(deadline=None, max_examples=300)
+@given(jsonl_logs())
+def test_jsonl_columns_match_per_row_reference(text):
+    _assert_same_load(text, "jsonl")
+
+
+@pytest.mark.parametrize("rows, error", [
+    # duplicate "rating" means the last column; a quoted newline is a second physical line
+    ('x,1,9,A,"i\n1",4\n\n\n,2,1,B,i2,nan\n', "line 6: non-finite rating"),
+    ("x,1,9,A,i1,4\nx,2,3,B\n", "line 3: missing field"),
+    ("x,1,9,A,i1,4\n\nx,2,3,B,i2,5,more\n", None),
+])
+def test_csv_quirks_match_reference(rows, error):
+    text = "note,timestamp,rating,user,item,rating\n" + rows
+    _assert_same_load(text, "csv")
+    got, _ = _load_both(text, "csv")
+    if error:
+        assert str(got) == error
+    else:
+        assert got.rating.tolist() == [4.0, 5.0]
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bridgerec.data import dataset_from_triples
+from bridgerec.data import dataset_from_columns
 from bridgerec.models import (DomainModel, TrainConfig, cmf_train, dot_mse, load_model,
                               loss_and_grads, predict_batch, pretrain,
                               save_model, score, user_representation)
@@ -152,7 +152,7 @@ def test_pretrain_same_seed_gives_byte_identical_checkpoints(tmp_path, planted_r
 
 def test_pretrain_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        pretrain(dataset_from_triples([]), k=2)
+        pretrain(dataset_from_columns([], [], [], []), k=2)
 
 
 @pytest.mark.parametrize("head", ["gmf", "two_tower"])
@@ -220,7 +220,7 @@ def test_cmf_identical_worlds_transfer_to_cold_users():
 
 
 def test_cmf_empty_source_degenerates_to_target_only():
-    src = dataset_from_triples([])
+    src = dataset_from_columns([], [], [], [])
     rng = np.random.default_rng(1)
     U = rng.uniform(0.2, 1.0, (10, 2))
     V = rng.uniform(0.2, 1.0, (10, 2))
@@ -233,4 +233,4 @@ def test_cmf_empty_source_degenerates_to_target_only():
 
 def test_cmf_rejects_two_empty_domains():
     with pytest.raises(ValueError):
-        cmf_train(dataset_from_triples([]), dataset_from_triples([]), k=2)
+        cmf_train(dataset_from_columns([], [], [], []), dataset_from_columns([], [], [], []), k=2)

@@ -6,16 +6,22 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``bridgerec`` package
 (a checkout's ``src/``). Each tree runs the same fixed matrix of seeded
 configs through ``python -m bridgerec.cli run`` (with ``save_checkpoints``)
 and then ``export``, with BLAS pinned to one thread, writing into
-OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The script prints every
-file that differs or exists on one side only, and the largest difference of
-any report metric. It exits 1 on any difference or failed command, else 0.
+OUT_DIR/parent/<config> and OUT_DIR/change/<config>. Two configs read rating
+logs (csv + csv and csv + json-lines) that the script writes once into
+OUT_DIR/logs from a fixed world, and each tree also runs ``prepare`` on them
+into OUT_DIR/<side>/prepare. The script prints every file that differs or
+exists on one side only, and the largest difference of any report metric. It
+exits 1 on any difference or failed command, else 0. Passing the same tree
+twice checks that two processes give byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +35,32 @@ BASE = {"task": TASK, "k": 4, "beta": 0.2, "seed": 3, "save_checkpoints": True,
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 
 
-def matrix() -> dict[str, dict]:
+def write_logs(log_dir: Path) -> None:
+    """One fixed two-domain world: books.csv, and its target domain as movies.csv and .jsonl."""
+    rng = random.Random(11)
+    users = {f"u{i:03d}": [rng.uniform(0.3, 1.0) for _ in range(3)] for i in range(150)}
+    names = list(users)
+    log_dir.mkdir(parents=True)
+    for domain, members in (("books", names[:120]), ("movies", names[30:])):
+        items = {f"{domain[0]}{j:03d}": [rng.uniform(0.3, 1.0) for _ in range(3)]
+                 for j in range(60)}
+        rows = []
+        for n, user in enumerate(members):
+            for t, item in enumerate(rng.sample(sorted(items), 10)):
+                dot = sum(a * b for a, b in zip(users[user], items[item]))
+                rows.append((user, item, min(max(dot + rng.gauss(0.0, 0.1), 0.0), 5.0),
+                             n * 100 + t))
+        with open(log_dir / f"{domain}.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["user", "item", "rating", "timestamp"])
+            writer.writerows((u, i, repr(r), t) for u, i, r, t in rows)
+        if domain == "movies":
+            with open(log_dir / "movies.jsonl", "w") as f:
+                f.writelines(json.dumps({"reviewerID": u, "asin": i, "overall": r,
+                                         "unixReviewTime": t}) + "\n" for u, i, r, t in rows)
+
+
+def matrix(log_dir: Path) -> dict[str, dict]:
     configs = {}
     for method in ("tgt", "cmf", "emcdr", *BRIDGE_NET_METHODS):
         configs[f"{method}-mf"] = {"method": method, "base_model": "mf"}
@@ -39,27 +70,36 @@ def matrix() -> dict[str, dict]:
     configs["ptupcdr-finetune_items"] = {"method": "ptupcdr", "finetune_items": True}
     tanh = {"lr": 0.01, "epochs": 10, "activation": "tanh"}
     configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "bridge": tanh}
+    for method, tgt_log in (("ptupcdr", "movies.csv"), ("cmf", "movies.jsonl")):
+        task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
+                "tgt_path": str(log_dir / tgt_log)}
+        configs[f"{method}-files-{tgt_log.split('.')[1]}"] = {"method": method, "task": task}
     return {name: {**BASE, **overrides} for name, overrides in configs.items()}
 
 
-def run_tree(src: Path, out: Path) -> list[str]:
-    """Run every config against one source tree; returns the failed commands."""
+def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
+    """Run every config and a prepare against one source tree; returns the failed commands."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    failed = []
-    for name, cfg in matrix().items():
+    jobs = []
+    for name, cfg in matrix(log_dir).items():
         run_dir = out / name
         run_dir.mkdir(parents=True)
         cfg_path = run_dir.parent / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg, indent=2))
         what = "both" if cfg["method"] in BRIDGE_NET_METHODS else "embeddings"
-        for args in (["run", str(cfg_path)], ["export", str(cfg_path), "--what", what]):
-            cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                failed.append(f"{src}: {' '.join(args)} exited {proc.returncode}: "
-                              f"{proc.stderr.strip()}")
+        jobs += [(["run", str(cfg_path)], run_dir),
+                 (["export", str(cfg_path), "--what", what], run_dir)]
+    jobs.append((["prepare", str(log_dir / "books.csv"), str(log_dir / "movies.jsonl"),
+                  "--beta", "0.3", "--seed", "3"], out / "prepare"))
+    failed = []
+    for args, run_dir in jobs:
+        cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            failed.append(f"{src}: {' '.join(args)} exited {proc.returncode}: "
+                          f"{proc.stderr.strip()}")
     return failed
 
 
@@ -81,15 +121,18 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src, out_dir = (Path(a) for a in argv)
     sides = {"parent": (parent_src, out_dir / "parent"), "change": (change_src, out_dir / "change")}
+    log_dir = out_dir / "logs"
     for src, out in sides.values():
         if not (src / "bridgerec").is_dir():
             print(f"error: no bridgerec package under {src}", file=sys.stderr)
             return 2
-        if out.exists():
-            print(f"error: {out} exists; pass an empty OUT_DIR", file=sys.stderr)
+    for path in (*(out for _, out in sides.values()), log_dir):
+        if path.exists():
+            print(f"error: {path} exists; pass an empty OUT_DIR", file=sys.stderr)
             return 2
 
-    failed = [f for src, out in sides.values() for f in run_tree(src, out)]
+    write_logs(log_dir)
+    failed = [f for src, out in sides.values() for f in run_tree(src, out, log_dir)]
     for line in failed:
         print(f"FAILED {line}")
 
