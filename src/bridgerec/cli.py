@@ -21,15 +21,13 @@ from . import checkpoint
 from .bridge import attention_table, save_bridge_nets
 from .data import load_domain, make_split
 from .models import TrainConfig, load_model, save_model, user_representation
-from .pipeline import (AmazonTask, ExperimentPlan, SyntheticSpec, SyntheticTask,
-                       _report_row, run_cold, run_plan, run_suite, sweep_plans,
+from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
+                       SyntheticTask, _report_row, run_cold, run_plan, run_suite, sweep_plans,
                        write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "BRIDGEREC_OUT_DIR"
-
-BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 
 _STAGES = ("pretrain", "bridge", "finetune")
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -38,8 +36,8 @@ _AMAZON_KEYS = {"src_path", "tgt_path", "format", "name"}
 _PLAN_KEYS = [f.name for f in dataclasses.fields(ExperimentPlan)]
 # plan fields a run config sets directly; task, method and the stages are parsed
 _PLAN_SCALAR_KEYS = [k for k in _PLAN_KEYS if k not in ("task", "method", *_STAGES)]
-_RUN_KEYS = {*_PLAN_KEYS, "out_dir", "stage", "checkpoint_dir", "save_checkpoints",
-             "record_runtime"}
+_RUN_ONLY_KEYS = ("stage", "checkpoint_dir", "save_checkpoints")
+_RUN_KEYS = {*_PLAN_KEYS, *_RUN_ONLY_KEYS, "out_dir", "record_runtime"}
 _SUITE_KEYS = {"base", "methods", "betas", "seeds", "parallelism",
                "record_runtime", "out_dir", "export_attention"}
 
@@ -54,9 +52,11 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _parse_train(d: dict | None, where: str) -> TrainConfig | None:
-    if d is None:
-        return None
+def _parse_train(d: dict, where: str) -> TrainConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    if "activation" in d:
+        raise ConfigError(f"activation is not a {where} setting; set the top-level 'activation'")
     _check_keys(d, _TRAIN_KEYS, where)
     return TrainConfig(**d)
 
@@ -79,24 +79,29 @@ def _parse_task(d: dict):
 
 
 def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
-    _check_keys(cfg, _RUN_KEYS, "run config")
-    for key in ("task", "method"):
-        if key not in cfg:
-            raise ConfigError(f"run config missing required key {key!r}")
-    kwargs = {"task": _parse_task(cfg["task"]), "method": cfg["method"]}
-    for key in _PLAN_SCALAR_KEYS:
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    for stage in _STAGES:
-        parsed = _parse_train(cfg.get(stage), stage)
-        if parsed is not None:
-            kwargs[stage] = parsed
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     try:
+        _check_keys(cfg, _RUN_KEYS, "run config")
+        for key in ("task", "method"):
+            if key not in cfg:
+                raise ConfigError(f"run config missing required key {key!r}")
+        kwargs = {"task": _parse_task(cfg["task"]), "method": cfg["method"]}
+        for key in _PLAN_SCALAR_KEYS:
+            if key in cfg:
+                kwargs[key] = cfg[key]
+        for stage in _STAGES:
+            if stage in cfg:
+                kwargs[stage] = _parse_train(cfg[stage], stage)
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
         return ExperimentPlan(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_activation(cfg: dict, plans) -> None:
+    """Reject an ``activation`` that no net of ``plans`` would use."""
+    if "activation" in cfg and not any(plan.builds_net for plan in plans):
+        raise ConfigError("activation has no effect: no plan builds a net (ptupcdr, two_tower)")
 
 
 def _load_json(path) -> dict:
@@ -178,8 +183,12 @@ def _save_checkpoints(cold, ckpt_dir: Path) -> None:
 
 
 def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
-    if cfg.get("stage", "full") != "meta_only":
+    stage = cfg.get("stage", "full")
+    if stage == "full" and "checkpoint_dir" not in cfg:
         return None
+    if stage != "meta_only":
+        raise ConfigError(f"got stage {stage!r}: stage is 'full' or 'meta_only', "
+                          "and only 'meta_only' reads checkpoint_dir")
     if plan.method in ("tgt", "cmf"):
         raise ConfigError(f"stage 'meta_only' does not apply to method {plan.method!r}")
     ckpt_dir = cfg.get("checkpoint_dir")
@@ -217,8 +226,9 @@ def cmd_prepare(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
     plan = build_plan(cfg, args.seed)
-    out = _out_dir(args.out_dir, cfg.get("out_dir"))
+    _check_activation(cfg, [plan])
     pretrained = _load_pretrained(cfg, plan)
+    out = _out_dir(args.out_dir, cfg.get("out_dir"))
 
     # output files stay byte-identical across reruns unless timings are asked for
     record_runtime = bool(cfg.get("record_runtime", False))
@@ -240,9 +250,13 @@ def cmd_suite(args) -> int:
     if "base" not in cfg:
         raise ConfigError("suite config missing required key 'base'")
     base = build_plan(cfg["base"])
+    _check_keys(cfg["base"], _RUN_KEYS - set(_RUN_ONLY_KEYS), "suite base")
+    if not all(isinstance(cfg.get(key) or [], list) for key in ("methods", "betas", "seeds")):
+        raise ConfigError("suite methods, betas and seeds must be lists")
     seeds = [args.seed] if args.seed is not None else cfg.get("seeds")
     plans = sweep_plans(base, methods=cfg.get("methods"), betas=cfg.get("betas"),
                         seeds=seeds)
+    _check_activation(cfg["base"], plans)
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
     rows = run_suite(plans, parallelism=args.parallel or cfg.get("parallelism", 1),
                      record_runtime=cfg.get("record_runtime", False))
@@ -266,10 +280,11 @@ def cmd_suite(args) -> int:
 def cmd_export(args) -> int:
     cfg = _load_json(args.config)
     plan = build_plan(cfg, args.seed)
+    _check_activation(cfg, [plan])
     if args.what in ("attention", "both") and plan.method not in BRIDGE_NET_METHODS:
         raise ConfigError("attention export needs a ptupcdr-family method")
-    out = _out_dir(args.out_dir, cfg.get("out_dir"))
     cold = run_cold(plan, pretrained=_load_pretrained(cfg, plan))
+    out = _out_dir(args.out_dir, cfg.get("out_dir"))
     if args.what in ("attention", "both"):
         _export_attention(cold, out / "attention.csv")
     if args.what in ("embeddings", "both"):

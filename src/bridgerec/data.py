@@ -120,7 +120,7 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
     try:
         r = float(rating)
         ts = int(timestamp)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRowError(f"line {line_no}: {exc}") from None
     if not math.isfinite(r):
         raise MalformedRowError(f"line {line_no}: non-finite rating")

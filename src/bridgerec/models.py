@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import DomainDataset, IdMap
-from .nn import ACTIVATIONS, TwoLayerNet, fit, prefix_params, table_grad, uniform_init
+from .nn import TwoLayerNet, fit, prefix_params, table_grad, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +28,6 @@ class TrainConfig:
     lr: float = 0.01
     epochs: int = 10
     batch_size: int = 512
-    activation: str = "relu"
     patience: int | None = None
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must be None or >= 0, got {self.patience}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 class DomainModel:
@@ -183,7 +180,7 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
 
 
 def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
-             config: TrainConfig | None = None, seed: int = 0):
+             config: TrainConfig | None = None, seed: int = 0, activation: str = "relu"):
     """Fit a DomainModel to a rating log by mini-batch Adam on squared error.
 
     Returns (model, trace) where trace is the per-epoch mean training loss.
@@ -193,8 +190,7 @@ def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
         raise ValueError("cannot pretrain on an empty dataset")
     config = config or TrainConfig()
     rng = np.random.default_rng(seed)
-    model = DomainModel(dataset.n_users, dataset.n_items, k, head,
-                        activation=config.activation, rng=rng)
+    model = DomainModel(dataset.n_users, dataset.n_items, k, head, activation, rng)
     params = model.params()
 
     def batch_fn(batch):

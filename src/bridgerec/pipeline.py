@@ -26,12 +26,13 @@ from .data import (RATING_MAX, RATING_MIN, DomainDataset, SplitPlan, build_seque
                    dataset_from_columns, filter_to_indices, load_domain, make_split)
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
-from .nn import fit, softmax, table_grad
+from .nn import ACTIVATIONS, fit, softmax, table_grad
 
 logger = logging.getLogger(__name__)
 
 LR_GRID = (0.001, 0.005, 0.01, 0.02, 0.1)
 METHODS = ("tgt", "cmf", "emcdr", "ptupcdr", "ptupcdr_mapping_ablation")
+BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 BASE_MODELS = ("mf", "gmf", "two_tower")
 BRIDGE_FAMILIES = ("shared_linear", "per_user_linear")
 
@@ -75,7 +76,7 @@ class SyntheticSpec:
     selection_sharpness: float = 3.0
     identity_bridge: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.bridge_family not in BRIDGE_FAMILIES:
             raise ValueError(f"bridge_family must be one of {BRIDGE_FAMILIES}")
         if self.n_overlap > min(self.n_users_src, self.n_users_tgt):
@@ -107,6 +108,7 @@ class ExperimentPlan:
     beta: float = 0.2
     seed: int = 0
     k: int = 10
+    activation: str = "relu"
     pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01, epochs=10))
     bridge: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01, epochs=10))
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01, epochs=100))
@@ -123,9 +125,8 @@ class ExperimentPlan:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.finetune.activation != TrainConfig.activation:
-            raise ValueError(f"finetune activation {self.finetune.activation!r} has no effect: "
-                             "warm fine-tuning trains no net")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not self.allow_off_grid_lr:
             for stage, cfg in (("pretrain", self.pretrain), ("bridge", self.bridge),
                                ("finetune", self.finetune)):
@@ -133,6 +134,12 @@ class ExperimentPlan:
                     raise ValueError(
                         f"{stage} lr {cfg.lr} is off the grid {LR_GRID}; "
                         "set allow_off_grid_lr=True to override")
+
+    @property
+    def builds_net(self) -> bool:
+        """Whether ``activation`` reaches a net: bridge nets, or two_tower towers (not in cmf)."""
+        return (self.method in BRIDGE_NET_METHODS
+                or (self.base_model == "two_tower" and self.method != "cmf"))
 
 
 def _stage_seeds(seed: int) -> dict[str, int]:
@@ -176,7 +183,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
     users' target factors are ``B_u @ src_factor`` with B either one shared
     matrix or a per-archetype diagonal. Returns (src, tgt, PlantedTruth).
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     k = spec.k_true
     scale = np.sqrt(5.0 / k) * 0.95
@@ -370,8 +376,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
         if pretrained and "tgt_model" in pretrained:
             tgt_model, tgt_trace = pretrained["tgt_model"], []
         else:
-            tgt_model, tgt_trace = pretrain(tgt_train, plan.k, plan.base_model,
-                                            plan.pretrain, seed=seeds["tgt"])
+            tgt_model, tgt_trace = pretrain(tgt_train, plan.k, plan.base_model, plan.pretrain,
+                                            seeds["tgt"], plan.activation)
         artifacts["tgt_model"] = tgt_model
         artifacts["tgt_trace"] = tgt_trace
         scoring = item_scoring_vectors(tgt_model)
@@ -384,8 +390,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
             if pretrained and "src_model" in pretrained:
                 src_model, src_trace = pretrained["src_model"], []
             else:
-                src_model, src_trace = pretrain(src, plan.k, plan.base_model,
-                                                plan.pretrain, seed=seeds["src"])
+                src_model, src_trace = pretrain(src, plan.k, plan.base_model, plan.pretrain,
+                                                seeds["src"], plan.activation)
             artifacts["src_model"] = src_model
             artifacts["src_trace"] = src_trace
             ctx = build_context(src_model, tgt_model, build_sequences(src))
@@ -407,8 +413,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
             else:
                 rng = np.random.default_rng(seeds["nets"])
                 enc = CharacteristicEncoder(plan.k, max_seq_len=plan.max_seq_len,
-                                            activation=plan.bridge.activation, rng=rng)
-                meta = MetaNetwork(plan.k, activation=plan.bridge.activation, rng=rng)
+                                            activation=plan.activation, rng=rng)
+                meta = MetaNetwork(plan.k, activation=plan.activation, rng=rng)
                 if plan.method == "ptupcdr":
                     # target rows of the train overlap users, grouped in split order
                     # and kept in file order within a user; other users sort last

@@ -5,6 +5,7 @@ import pytest
 
 from bridgerec.cli import main
 from bridgerec.models import TrainConfig
+from bridgerec.pipeline import BASE_MODELS, METHODS
 
 SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
               "n_overlap": 140, "n_items_src": 80, "n_items_tgt": 80,
@@ -54,6 +55,19 @@ def test_prepare_reports_a_json_line_that_is_not_an_object(tmp_path, pair_csvs, 
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 2: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_prepare_reports_a_timestamp_out_of_integer_range(tmp_path, pair_csvs, capsys):
+    src, _ = pair_csvs
+    tgt = tmp_path / "tgt.jsonl"
+    tgt.write_text('{"reviewerID": "u1", "asin": "g0", "overall": 4.0, "unixReviewTime": 1}\n'
+                   '{"reviewerID": "u2", "asin": "g0", "overall": 4.0, '
+                   '"unixReviewTime": Infinity}\n')
+    rc = main(["prepare", str(src), str(tgt), "--beta", "0.4", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: line 2: cannot convert float infinity to integer" in err
     assert "Traceback" not in err
 
 
@@ -217,8 +231,7 @@ def test_run_emits_training_trace_csvs(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"batch_size": 0}, {"batch_size": -1},
-                                 {"epochs": -1}, {"patience": -1},
-                                 {"activation": "sigmoid"}])
+                                 {"epochs": -1}, {"patience": -1}])
 def test_run_rejects_invalid_train_config(tmp_path, capsys, bad):
     field_name = next(iter(bad))
     with pytest.raises(ValueError, match=field_name):
@@ -240,3 +253,134 @@ def test_run_without_warm_ratings_fails_before_pretraining(tmp_path, capsys, mon
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert "none of the 28 test users has a warm rating" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_rejects_invalid_plan_activation(tmp_path, capsys):
+    cfg = _run_config(tmp_path, activation="sigmoid")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "activation must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+class PlanRan(Exception):
+    pass
+
+
+def _no_training(monkeypatch):
+    def ran(*args, **kwargs):
+        raise PlanRan
+
+    for name in ("bridgerec.cli.run_plan", "bridgerec.cli.run_cold",
+                 "bridgerec.pipeline.pretrain", "bridgerec.pipeline.cmf_train"):
+        monkeypatch.setattr(name, ran)
+
+
+# plans whose nets the plan-level activation reaches: the ptupcdr family's bridge
+# nets, and the towers of a two_tower base model unless cmf replaces the base model
+NET_PLANS = ({(m, b) for m in ("ptupcdr", "ptupcdr_mapping_ablation") for b in BASE_MODELS}
+             | {("tgt", "two_tower"), ("emcdr", "two_tower")})
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("base_model", BASE_MODELS)
+def test_run_accepts_activation_exactly_when_the_plan_builds_a_net(
+        tmp_path, capsys, monkeypatch, method, base_model):
+    _no_training(monkeypatch)
+    cfg = _run_config(tmp_path, method=method, base_model=base_model, activation="tanh")
+    if (method, base_model) in NET_PLANS:
+        with pytest.raises(PlanRan):
+            main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
+    else:
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "activation has no effect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, base_model, checkpoints", [
+    ("ptupcdr", "mf", {"bridge_nets": ("enc_activation", "meta_activation")}),
+    ("emcdr", "two_tower", {"src_model": ("activation",), "tgt_model": ("activation",)}),
+])
+def test_plan_activation_reaches_every_net(tmp_path, method, base_model, checkpoints):
+    cfg = _run_config(tmp_path, method=method, base_model=base_model, activation="tanh",
+                      save_checkpoints=True, pretrain={"lr": 0.01, "epochs": 2},
+                      bridge={"lr": 0.01, "epochs": 2}, finetune={"lr": 0.01, "epochs": 2})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+    for name, keys in checkpoints.items():
+        meta = json.loads((out / "checkpoints" / f"{name}.json").read_text())["meta"]
+        assert [meta[key] for key in keys] == ["tanh"] * len(keys)
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "bridge", "finetune"])
+def test_stage_activation_names_the_plan_key(tmp_path, capsys, stage):
+    cfg = _run_config(tmp_path, **{stage: {"lr": 0.01, "epochs": 2, "activation": "tanh"}})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"activation is not a {stage} setting; set the top-level 'activation'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _suite_config(tmp_path, methods, **base):
+    suite = {"base": {"task": SMOKE_TASK, "method": "tgt", "k": 4, "beta": 0.2, **base,
+                      "pretrain": {"lr": 0.01, "epochs": 3},
+                      "bridge": {"lr": 0.01, "epochs": 3},
+                      "finetune": {"lr": 0.01, "epochs": 3}},
+             "methods": methods}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    return path
+
+
+def test_suite_activation_needs_one_plan_with_a_net(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _suite_config(tmp_path, ["tgt", "ptupcdr"], activation="tanh")
+    assert main(["suite", str(cfg), "--out-dir", str(out)]) == 0
+    assert [r["stage"] for r in json.loads((out / "suite.json").read_text())] == \
+        ["cold", "warm"] * 2
+
+    _no_training(monkeypatch)
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr"], activation="tanh")
+    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "rejected")]) == 1
+    assert "activation has no effect" in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("run", {"pretrain": 5}),
+    ("run", {"pretrain": {"batch_size": "64"}}),
+    ("run", {"k": "6"}),
+    ("run", {"beta": "0.2"}),
+    ("run", {"task": {**SMOKE_TASK, "n_overlap": "5"}}),
+    ("suite", {"seeds": 3}),
+], ids=["stage", "batch_size", "k", "beta", "n_overlap", "seeds"])
+def test_wrong_typed_config_values_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                     command, overrides):
+    _no_training(monkeypatch)
+    if command == "run":
+        cfg = _run_config(tmp_path, **overrides)
+    else:
+        cfg = _suite_config(tmp_path, ["tgt"])
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **overrides}))
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("run", {"stage": "meta-only", "checkpoint_dir": "nowhere"}, "got stage 'meta-only'"),
+    ("run", {"checkpoint_dir": "nowhere"}, "only 'meta_only' reads checkpoint_dir"),
+    ("export", {"stage": "meta-only"}, "got stage 'meta-only'"),
+    ("suite", {"stage": "meta_only"}, "unknown keys in suite base: ['stage']"),
+    ("suite", {"checkpoint_dir": "c"}, "unknown keys in suite base: ['checkpoint_dir']"),
+    ("suite", {"save_checkpoints": True}, "unknown keys in suite base: ['save_checkpoints']"),
+], ids=["run-stage", "run-checkpoint_dir", "export-stage", "suite-stage",
+        "suite-checkpoint_dir", "suite-save_checkpoints"])
+def test_config_values_that_would_be_ignored_are_rejected(tmp_path, capsys, monkeypatch,
+                                                          command, overrides, message):
+    _no_training(monkeypatch)
+    if command == "suite":
+        cfg = _suite_config(tmp_path, ["emcdr"], **overrides)
+    else:
+        cfg = _run_config(tmp_path, **overrides)
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -88,6 +88,21 @@ def test_jsonl_line_that_is_not_an_object_is_malformed(tmp_path, line):
         load_domain(path)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("unixReviewTime", "Infinity", "cannot convert float infinity to integer"),
+    ("unixReviewTime", "1e400", "cannot convert float infinity to integer"),
+    ("overall", str(10**400), "int too large to convert to float"),
+])
+def test_jsonl_value_out_of_float_range_is_malformed(tmp_path, field, value, error):
+    fields = {"reviewerID": '"A1"', "asin": '"B1"', "overall": "4.0", "unixReviewTime": "1",
+              field: value}
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"reviewerID": "A0", "asin": "B0", "overall": 3.0, "unixReviewTime": 1}\n'
+                    + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+    with pytest.raises(MalformedRowError, match=f"^line 2: {error}$"):
+        load_domain(path)
+
+
 # ---------------------------------------------------------------------------
 # columnar loading against the per-row reference
 #
@@ -113,7 +128,7 @@ def _ref_parse_fields(user, item, rating, timestamp, line_no):
     try:
         r = float(rating)
         ts = int(timestamp)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRowError(f"line {line_no}: {exc}") from None
     if not np.isfinite(r):
         raise MalformedRowError(f"line {line_no}: non-finite rating")

@@ -74,8 +74,8 @@ def test_plan_rejects_bad_fields():
         ExperimentPlan(task=task, method="tgt", base_model="svd")
     with pytest.raises(ValueError):
         ExperimentPlan(task=task, method="tgt", k=0)
-    with pytest.raises(ValueError, match="finetune activation 'tanh'"):
-        ExperimentPlan(task=task, method="tgt", finetune=TrainConfig(activation="tanh"))
+    with pytest.raises(ValueError, match="activation must be one of"):
+        ExperimentPlan(task=task, method="tgt", activation="sigmoid")
 
 
 def test_plan_enforces_lr_grid_unless_overridden():

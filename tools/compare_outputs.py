@@ -68,8 +68,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
         for base_model in ("gmf", "two_tower"):
             configs[f"{method}-{base_model}"] = {"method": method, "base_model": base_model}
     configs["ptupcdr-finetune_items"] = {"method": "ptupcdr", "finetune_items": True}
-    tanh = {"lr": 0.01, "epochs": 10, "activation": "tanh"}
-    configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "bridge": tanh}
+    configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "activation": "tanh"}
+    configs["ptupcdr-two_tower-tanh"] = {"method": "ptupcdr", "base_model": "two_tower",
+                                         "activation": "tanh"}
     for method, tgt_log in (("ptupcdr", "movies.csv"), ("cmf", "movies.jsonl")):
         task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
                 "tgt_path": str(log_dir / tgt_log)}
