@@ -384,13 +384,11 @@ def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,
 
 
 def save_bridge_nets(prefix, enc: CharacteristicEncoder, meta: MetaNetwork) -> None:
-    tensors = prefix_params("enc.", enc.params())
-    tensors.update(prefix_params("meta.", meta.params()))
     info = {"kind": "bridge_nets", "k": meta.k,
             "max_seq_len": enc.max_seq_len,
             "enc_activation": enc.net.activation,
             "meta_activation": meta.net.activation}
-    checkpoint.save_tensors(prefix, tensors, info)
+    checkpoint.save_tensors(prefix, _namespaced(enc.params(), meta.params()), info)
 
 
 def load_bridge_nets(prefix):
@@ -398,11 +396,10 @@ def load_bridge_nets(prefix):
     if info.get("kind") != "bridge_nets":
         raise ValueError(f"checkpoint at {prefix} is not a bridge checkpoint")
     k = info["k"]
-    enc = CharacteristicEncoder(k, hidden=tensors["enc.b1"].shape[0],
+    enc = CharacteristicEncoder(k, hidden=len(np.atleast_1d(tensors.get("enc.b1", ()))),
                                 max_seq_len=info.get("max_seq_len"),
                                 activation=info.get("enc_activation", "relu"))
-    meta = MetaNetwork(k, hidden=tensors["meta.b1"].shape[0],
+    meta = MetaNetwork(k, hidden=len(np.atleast_1d(tensors.get("meta.b1", ()))),
                        activation=info.get("meta_activation", "relu"))
-    enc.net.set_params({n.split(".", 1)[1]: t for n, t in tensors.items() if n.startswith("enc.")})
-    meta.net.set_params({n.split(".", 1)[1]: t for n, t in tensors.items() if n.startswith("meta.")})
+    checkpoint.copy_into(_namespaced(enc.params(), meta.params()), tensors, prefix)
     return enc, meta

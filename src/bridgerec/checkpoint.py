@@ -53,3 +53,17 @@ def load_tensors(prefix):
     if offset != len(blob):
         raise ValueError(f"checkpoint blob size {len(blob)} does not match manifest ({offset} expected)")
     return tensors, manifest.get("meta", {})
+
+
+def copy_into(params: dict[str, np.ndarray], tensors: dict[str, np.ndarray], prefix) -> None:
+    """Copy loaded ``tensors`` into the live arrays ``params`` of a freshly built
+    object; a missing, extra or wrong-shaped tensor is a ValueError."""
+    missing, extra = sorted(set(params) - set(tensors)), sorted(set(tensors) - set(params))
+    if missing or extra:
+        raise ValueError(f"checkpoint at {prefix} lacks tensors {missing} "
+                         f"and has unexpected tensors {extra}")
+    for name, p in params.items():
+        if tensors[name].shape != p.shape:
+            raise ValueError(f"checkpoint at {prefix}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, expected {p.shape}")
+        p[...] = tensors[name]

@@ -30,26 +30,58 @@ logger = logging.getLogger(__name__)
 OUT_DIR_ENV = "BRIDGEREC_OUT_DIR"
 
 _STAGES = ("pretrain", "bridge", "finetune")
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
-_AMAZON_KEYS = {"src_path", "tgt_path", "format", "name"}
+
+
+def _annotations(cls) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(cls)}
+
+
+# config key -> annotation of the value it takes, as written on the dataclass field
+_TRAIN_TYPES = _annotations(TrainConfig)
+_SYNTH_TYPES = _annotations(SyntheticSpec)
+_AMAZON_TYPES = {("format" if k == "fmt" else k): t for k, t in _annotations(AmazonTask).items()}
 _PLAN_KEYS = [f.name for f in dataclasses.fields(ExperimentPlan)]
 # plan fields a run config sets directly; task, method and the stages are parsed
 _PLAN_SCALAR_KEYS = [k for k in _PLAN_KEYS if k not in ("task", "method", *_STAGES)]
-_RUN_ONLY_KEYS = ("stage", "checkpoint_dir", "save_checkpoints")
-_RUN_KEYS = {*_PLAN_KEYS, *_RUN_ONLY_KEYS, "out_dir", "record_runtime"}
-_SUITE_KEYS = {"base", "methods", "betas", "seeds", "parallelism",
-               "record_runtime", "out_dir", "export_attention"}
+_RUN_ONLY_TYPES = {"stage": "str", "checkpoint_dir": "str", "save_checkpoints": "bool",
+                   "out_dir": "str | None", "record_runtime": "bool"}
+_RUN_ONLY_KEYS = tuple(_RUN_ONLY_TYPES)
+_RUN_KEYS = {*_PLAN_KEYS, *_RUN_ONLY_KEYS}
+_RUN_TYPES = {**{k: t for k, t in _annotations(ExperimentPlan).items() if k in _PLAN_SCALAR_KEYS},
+              **_RUN_ONLY_TYPES}
+_SUITE_TYPES = {"methods": "list[str] | None", "betas": "list[float] | None",
+                "seeds": "list[int] | None", "parallelism": "int", "record_runtime": "bool",
+                "out_dir": "str | None", "export_attention": "bool"}
+_SUITE_KEYS = {"base", *_SUITE_TYPES}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _check_keys(d: dict, allowed, where: str) -> None:
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a json value fits an annotation such as "int | None" or "list[float]".
+    A bool fits only "bool"; an int fits "int" and "float", a float only "float"."""
+    kinds = annotation.split(" | ")
+    if value is None or isinstance(value, bool):
+        return ("None" if value is None else "bool") in kinds
+    if isinstance(value, list):
+        return any(k.startswith("list[") and all(_fits(v, k[5:-1]) for v in value)
+                   for k in kinds)
+    return any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k in _JSON_TYPES)
+
+
+def _check_types(d: dict, types: dict[str, str], where: str) -> None:
+    for key, value in d.items():
+        if key in types and not _fits(value, types[key]):
+            raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
 
 
 def _parse_train(d: dict, where: str) -> TrainConfig:
@@ -57,7 +89,8 @@ def _parse_train(d: dict, where: str) -> TrainConfig:
         raise ConfigError(f"{where} must be an object, got {d!r}")
     if "activation" in d:
         raise ConfigError(f"activation is not a {where} setting; set the top-level 'activation'")
-    _check_keys(d, _TRAIN_KEYS, where)
+    _check_keys(d, _TRAIN_TYPES, where)
+    _check_types(d, _TRAIN_TYPES, where)
     return TrainConfig(**d)
 
 
@@ -67,10 +100,12 @@ def _parse_task(d: dict):
     kind = d["kind"]
     rest = {k: v for k, v in d.items() if k != "kind"}
     if kind == "synthetic":
-        _check_keys(rest, _SYNTH_KEYS, "task")
+        _check_keys(rest, _SYNTH_TYPES, "task")
+        _check_types(rest, _SYNTH_TYPES, "task")
         return SyntheticTask(SyntheticSpec(**rest))
     if kind == "amazon":
-        _check_keys(rest, _AMAZON_KEYS, "task")
+        _check_keys(rest, _AMAZON_TYPES, "task")
+        _check_types(rest, _AMAZON_TYPES, "task")
         if "src_path" not in rest or "tgt_path" not in rest:
             raise ConfigError("amazon task needs src_path and tgt_path")
         return AmazonTask(src_path=rest["src_path"], tgt_path=rest["tgt_path"],
@@ -81,6 +116,7 @@ def _parse_task(d: dict):
 def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
     try:
         _check_keys(cfg, _RUN_KEYS, "run config")
+        _check_types(cfg, _RUN_TYPES, "run config")
         for key in ("task", "method"):
             if key not in cfg:
                 raise ConfigError(f"run config missing required key {key!r}")
@@ -198,9 +234,16 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
     for name in ("src_model", "tgt_model"):
         prefix = Path(ckpt_dir) / name
         try:
-            loaded[name] = load_model(prefix)
+            model = load_model(prefix)
         except FileNotFoundError as exc:
             raise ConfigError(f"missing checkpoint artifact for {name}: {exc}") from None
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint manifest for {name} lacks the key {exc}") from None
+        if (model.head, model.k) != (plan.base_model, plan.k):
+            raise ConfigError(f"{name} checkpoint has base_model {model.head!r} and k {model.k}, "
+                              f"but the config asks for base_model {plan.base_model!r} "
+                              f"and k {plan.k}")
+        loaded[name] = model
     return loaded
 
 
@@ -251,8 +294,7 @@ def cmd_suite(args) -> int:
         raise ConfigError("suite config missing required key 'base'")
     base = build_plan(cfg["base"])
     _check_keys(cfg["base"], _RUN_KEYS - set(_RUN_ONLY_KEYS), "suite base")
-    if not all(isinstance(cfg.get(key) or [], list) for key in ("methods", "betas", "seeds")):
-        raise ConfigError("suite methods, betas and seeds must be lists")
+    _check_types(cfg, _SUITE_TYPES, "suite config")
     seeds = [args.seed] if args.seed is not None else cfg.get("seeds")
     plans = sweep_plans(base, methods=cfg.get("methods"), betas=cfg.get("betas"),
                         seeds=seeds)

@@ -42,8 +42,8 @@ class TrainConfig:
 class DomainModel:
     """Embedding tables plus a scoring head for one domain.
 
-    Heads: "mf" (dot product), "gmf" (weighted element-wise product),
-    "two_tower" (dot product of per-side k -> 2k -> k nets).
+    Each head joins a user side and an item side by one dot product: "mf" (the
+    rows), "gmf" (item rows times a weight vector), "two_tower" (k -> 2k -> k nets).
     """
 
     def __init__(self, n_users: int, n_items: int, k: int, head: str = "mf",
@@ -82,16 +82,39 @@ class DomainModel:
         return p
 
 
+def _tower(net: TwoLayerNet, X: np.ndarray, prefix: str):
+    Y, cache = net.forward_cached(X)
+
+    def back(dY):
+        grads, dX = net.backward(cache, dY)
+        return dX, prefix_params(prefix, grads)
+
+    return Y, back
+
+
+def _user_side(model: DomainModel, U: np.ndarray):
+    """User vectors of the gathered embedding rows ``U``, and a closure mapping
+    their gradient to (gradient of ``U``, head-parameter gradients)."""
+    if model.head == "two_tower":
+        return _tower(model.user_net, U, "user_net.")
+    return U, lambda dU: (dU, {})
+
+
+def _item_side(model: DomainModel, V: np.ndarray):
+    """Item vectors of the gathered embedding rows ``V``, scored against user
+    vectors by one dot product, and their backward closure as in ``_user_side``."""
+    if model.head == "two_tower":
+        return _tower(model.item_net, V, "item_net.")
+    if model.head == "gmf":
+        w = model.gmf_weights
+        return V * w, lambda dQ: (dQ * w, {"gmf_weights": np.einsum("bk,bk->k", dQ, V)})
+    return V, lambda dV: (dV, {})
+
+
 def predict_batch(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarray) -> np.ndarray:
     """Predicted ratings for aligned user/item index arrays."""
-    U = model.users[user_idx]
-    V = model.items[item_idx]
-    if model.head == "mf":
-        return np.einsum("bk,bk->b", U, V)
-    if model.head == "gmf":
-        return (U * V) @ model.gmf_weights
-    A = model.user_net.forward(U)
-    B = model.item_net.forward(V)
+    A = _user_side(model, model.users[user_idx])[0]
+    B = _item_side(model, model.items[item_idx])[0]
     return np.einsum("bk,bk->b", A, B)
 
 
@@ -107,16 +130,11 @@ def user_representation(model: DomainModel, user: int) -> np.ndarray:
     """The vector a bridge transforms: the embedding row, or the user-tower output."""
     if not 0 <= user < model.n_users:
         raise IndexError(f"user {user} out of range ({model.n_users} users)")
-    row = model.users[user]
-    if model.head == "two_tower":
-        return model.user_net.forward(row)
-    return row.copy()
+    return _user_side(model, model.users[[user]])[0][0]
 
 
 def user_representations(model: DomainModel) -> np.ndarray:
-    if model.head == "two_tower":
-        return model.user_net.forward(model.users)
-    return model.users.copy()
+    return np.array(_user_side(model, model.users)[0])
 
 
 def item_representations(model: DomainModel) -> np.ndarray:
@@ -128,11 +146,7 @@ def item_representations(model: DomainModel) -> np.ndarray:
 
 def item_scoring_vectors(model: DomainModel) -> np.ndarray:
     """Frozen per-item vectors q such that a rating is dot(user_repr, q)."""
-    if model.head == "mf":
-        return model.items.copy()
-    if model.head == "gmf":
-        return model.items * model.gmf_weights
-    return model.item_net.forward(model.items)
+    return np.array(_item_side(model, model.items)[0])
 
 
 def dot_mse(U: np.ndarray, V: np.ndarray, ratings: np.ndarray):
@@ -150,30 +164,12 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     This is the exact computation one training step performs. Embedding
     gradients come back as dense tables (rows outside the batch are zero).
     """
-    U = model.users[user_idx]
-    V = model.items[item_idx]
-    grads: dict[str, np.ndarray] = {}
-
-    if model.head == "mf":
-        loss, dU, dV = dot_mse(U, V, ratings)
-    elif model.head == "gmf":
-        # kept apart from dot_mse: (U * V) @ w multiplies in a different order
-        w = model.gmf_weights
-        pred = (U * V) @ w
-        g = 2.0 * (pred - ratings) / len(ratings)
-        dU = g[:, None] * (V * w)
-        dV = g[:, None] * (U * w)
-        grads["gmf_weights"] = (U * V).T @ g
-        loss = float(np.mean((pred - ratings) ** 2))
-    else:
-        A, cache_u = model.user_net.forward_cached(U)
-        Bv, cache_i = model.item_net.forward_cached(V)
-        loss, dA, dB = dot_mse(A, Bv, ratings)
-        net_u, dU = model.user_net.backward(cache_u, dA)
-        net_i, dV = model.item_net.backward(cache_i, dB)
-        grads.update(prefix_params("user_net.", net_u))
-        grads.update(prefix_params("item_net.", net_i))
-
+    A, user_back = _user_side(model, model.users[user_idx])
+    B, item_back = _item_side(model, model.items[item_idx])
+    loss, dA, dB = dot_mse(A, B, ratings)
+    dU, grads = user_back(dA)
+    dV, item_grads = item_back(dB)
+    grads.update(item_grads)
     grads["users"] = table_grad(model.users, user_idx, dU)
     grads["items"] = table_grad(model.items, item_idx, dV)
     return loss, grads
@@ -270,18 +266,8 @@ def load_model(prefix) -> DomainModel:
     tensors, meta = checkpoint.load_tensors(prefix)
     if meta.get("kind") != "domain_model":
         raise ValueError(f"checkpoint at {prefix} is not a domain model")
-    head = meta["head"]
-    n_users, k = tensors["users"].shape
-    n_items = tensors["items"].shape[0]
-    model = DomainModel(n_users, n_items, k, head,
+    n_users, n_items = (len(np.atleast_1d(tensors.get(n, ()))) for n in ("users", "items"))
+    model = DomainModel(n_users, n_items, meta["k"], meta["head"],
                         activation=meta.get("activation", "relu"))
-    model.users = tensors["users"]
-    model.items = tensors["items"]
-    if head == "gmf":
-        model.gmf_weights = tensors["gmf_weights"]
-    elif head == "two_tower":
-        model.user_net.set_params({n.split(".", 1)[1]: t for n, t in tensors.items()
-                                   if n.startswith("user_net.")})
-        model.item_net.set_params({n.split(".", 1)[1]: t for n, t in tensors.items()
-                                   if n.startswith("item_net.")})
+    checkpoint.copy_into(model.params(), tensors, prefix)
     return model

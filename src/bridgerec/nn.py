@@ -67,12 +67,6 @@ class TwoLayerNet:
     def params(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.W1 = np.asarray(params["W1"], dtype=np.float64)
-        self.b1 = np.asarray(params["b1"], dtype=np.float64)
-        self.W2 = np.asarray(params["W2"], dtype=np.float64)
-        self.b2 = np.asarray(params["b2"], dtype=np.float64)
-
     def _act(self, z):
         if self.activation == "relu":
             return np.maximum(z, 0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.data import dataset_from_columns
 
 
@@ -34,6 +35,21 @@ def pair_csvs(tmp_path):
     src.write_text("\n".join(src_rows) + "\n")
     tgt.write_text("\n".join(tgt_rows) + "\n")
     return src, tgt
+
+
+def edit_checkpoint(prefix, name, case):
+    """Rewrite the checkpoint at ``prefix`` without the meta entry ``name`` (case
+    "meta"), or with tensor ``name`` renamed ("name"), given an extra trailing
+    axis ("shape") or cut to one value ("scalar")."""
+    tensors, meta = load_tensors(prefix)
+    if case == "meta":
+        del meta[name]
+    elif case == "name":
+        tensors[name + "_renamed"] = tensors.pop(name)
+    else:
+        t = tensors.pop(name)
+        tensors[name] = t[..., None] if case == "shape" else t.reshape(-1)[0]
+    save_tensors(prefix, tensors, meta)
 
 
 def make_dataset(rows):

@@ -10,6 +10,7 @@ from bridgerec.bridge import (CharacteristicEncoder, ColdSourceUserError,
                               train_meta, train_meta_mapping, transform_user)
 from bridgerec.models import TrainConfig
 from bridgerec.nn import grad_check, prefix_params, softmax
+from conftest import edit_checkpoint
 
 
 def _enc(k=4, seed=1, **kw):
@@ -409,3 +410,12 @@ def test_bridge_nets_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(generate_bridge(meta2, p), generate_bridge(meta, p))
     V = np.random.default_rng(63).normal(size=(3, 4))
     np.testing.assert_array_equal(attention_scores(enc2, V), attention_scores(enc, V))
+
+
+@pytest.mark.parametrize("name", ["enc.b1", "meta.W2"])
+@pytest.mark.parametrize("case", ["name", "shape", "scalar"])
+def test_load_bridge_nets_rejects_a_wrong_name_or_shape(tmp_path, name, case):
+    save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
+    edit_checkpoint(tmp_path / "nets", name, case)
+    with pytest.raises(ValueError, match="checkpoint at"):
+        load_bridge_nets(tmp_path / "nets")

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from bridgerec.cli import main
-from bridgerec.models import TrainConfig
+from bridgerec.models import DomainModel, TrainConfig, save_model
 from bridgerec.pipeline import BASE_MODELS, METHODS
+from conftest import edit_checkpoint
 
 SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
               "n_overlap": 140, "n_items_src": 80, "n_items_tgt": 80,
@@ -149,6 +150,31 @@ def test_run_meta_only_from_saved_checkpoints(tmp_path):
     full = json.loads((full_out / "report.json").read_text())
     again = json.loads((tmp_path / "meta_out" / "report.json").read_text())
     assert full[0]["mae"] == pytest.approx(again[0]["mae"], rel=1e-12)
+
+
+@pytest.mark.parametrize("case, overrides, message", [
+    ("head", {"base_model": "gmf"}, "base_model 'two_tower' and k 4, but the config asks "
+                                    "for base_model 'gmf' and k 4"),
+    ("k", {"k": 3}, "base_model 'two_tower' and k 4, but the config asks "
+                    "for base_model 'two_tower' and k 3"),
+    ("name", {}, "lacks tensors ['item_net.W1']"),
+    ("shape", {}, "tensor 'item_net.W1' has shape (4, 8, 1), expected (4, 8)"),
+    ("meta", {}, "checkpoint manifest for tgt_model lacks the key 'k'"),
+], ids=["head", "k", "name", "shape", "meta"])
+def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monkeypatch,
+                                                         case, overrides, message):
+    _no_training(monkeypatch)
+    ckpt = tmp_path / "ckpt"
+    for name in ("src_model", "tgt_model"):
+        save_model(ckpt / name, DomainModel(5, 6, 4, "two_tower"))
+    if case in ("name", "shape", "meta"):
+        edit_checkpoint(ckpt / "tgt_model", "k" if case == "meta" else "item_net.W1", case)
+    cfg = _run_config(tmp_path, **{"base_model": "two_tower", "stage": "meta_only",
+                                   "checkpoint_dir": str(ckpt), **overrides})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +377,24 @@ def test_suite_activation_needs_one_plan_with_a_net(tmp_path, capsys, monkeypatc
     ("run", {"beta": "0.2"}),
     ("run", {"task": {**SMOKE_TASK, "n_overlap": "5"}}),
     ("suite", {"seeds": 3}),
-], ids=["stage", "batch_size", "k", "beta", "n_overlap", "seeds"])
+    ("run", {"seed": "3"}),
+    ("run", {"k": 2.5}),
+    ("run", {"max_seq_len": 2.5}),
+    ("run", {"pretrain": {"epochs": 1.5}}),
+    ("run", {"pretrain": {"batch_size": 2.5}}),
+    ("run", {"allow_off_grid_lr": True, "pretrain": {"lr": True}}),
+    ("run", {"task": {"kind": "amazon", "src_path": 5, "tgt_path": "tgt.csv"}}),
+    ("run", {"finetune_items": "no"}),
+    ("run", {"record_runtime": "no"}),
+    ("suite", {"parallelism": "2"}),
+    ("suite", {"betas": ["0.2"]}),
+    ("suite", {"seeds": [1.5]}),
+    ("suite", {"record_runtime": "no"}),
+    ("suite", {"export_attention": 1}),
+], ids=["stage", "batch_size", "k", "beta", "n_overlap", "seeds", "seed-str", "k-float",
+        "max_seq_len-float", "epochs-float", "batch_size-float", "lr-bool", "src_path-int",
+        "finetune_items-str", "run-record_runtime-str", "parallelism-str", "betas-str",
+        "seeds-float", "suite-record_runtime-str", "export_attention-int"])
 def test_wrong_typed_config_values_are_config_errors(tmp_path, capsys, monkeypatch,
                                                      command, overrides):
     _no_training(monkeypatch)
@@ -372,8 +415,11 @@ def test_wrong_typed_config_values_are_config_errors(tmp_path, capsys, monkeypat
     ("suite", {"stage": "meta_only"}, "unknown keys in suite base: ['stage']"),
     ("suite", {"checkpoint_dir": "c"}, "unknown keys in suite base: ['checkpoint_dir']"),
     ("suite", {"save_checkpoints": True}, "unknown keys in suite base: ['save_checkpoints']"),
+    ("suite", {"out_dir": "base_out"}, "unknown keys in suite base: ['out_dir']"),
+    ("suite", {"record_runtime": True}, "unknown keys in suite base: ['record_runtime']"),
 ], ids=["run-stage", "run-checkpoint_dir", "export-stage", "suite-stage",
-        "suite-checkpoint_dir", "suite-save_checkpoints"])
+        "suite-checkpoint_dir", "suite-save_checkpoints", "suite-out_dir",
+        "suite-record_runtime"])
 def test_config_values_that_would_be_ignored_are_rejected(tmp_path, capsys, monkeypatch,
                                                           command, overrides, message):
     _no_training(monkeypatch)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from bridgerec.data import dataset_from_columns
-from bridgerec.models import (DomainModel, TrainConfig, cmf_train, dot_mse, load_model,
-                              loss_and_grads, predict_batch, pretrain,
-                              save_model, score, user_representation)
+from bridgerec.models import (HEADS, DomainModel, TrainConfig, cmf_train, dot_mse,
+                              item_scoring_vectors, load_model, loss_and_grads,
+                              predict_batch, pretrain, save_model, score,
+                              user_representation, user_representations)
 from bridgerec.nn import grad_check, table_grad
-from conftest import make_dataset
+from conftest import edit_checkpoint, make_dataset
 
 
 def _model(head, n_users=4, n_items=6, k=2, seed=0):
@@ -102,6 +103,20 @@ def test_head_gradients_pass_grad_check(head):
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("head", HEADS)
+def test_every_head_scores_by_one_dot_product(head, planted_rank3):
+    # run_cold and run_warm score a test user with exactly this product
+    ds = planted_rank3[0]
+    m, _ = pretrain(ds, k=3, head=head, config=TrainConfig(lr=0.02, epochs=3), seed=1)
+    u, i = ds.user_idx, ds.item_idx
+    pred = predict_batch(m, u, i)
+    np.testing.assert_allclose(
+        np.einsum("bk,bk->b", user_representations(m)[u], item_scoring_vectors(m)[i]),
+        pred, rtol=0, atol=1e-12)
+    loss, _ = loss_and_grads(m, u, i, ds.rating)
+    assert abs(loss - np.mean((pred - ds.rating) ** 2)) <= 1e-12
+
+
 def test_dot_mse_table_gradients_pass_grad_check():
     # the batch loss of cmf_train and of warm fine-tuning: rows gathered with repeats
     rng = np.random.default_rng(5)
@@ -176,6 +191,16 @@ def test_model_checkpoint_round_trip(tmp_path):
         u = np.array([0, 1, 2])
         i = np.array([1, 2, 3])
         np.testing.assert_array_equal(predict_batch(loaded, u, i), predict_batch(m, u, i))
+
+
+@pytest.mark.parametrize("head, name", [("mf", "users"), ("gmf", "gmf_weights"),
+                                        ("two_tower", "item_net.W1")])
+@pytest.mark.parametrize("case", ["name", "shape", "scalar"])
+def test_load_model_rejects_a_wrong_name_or_shape(tmp_path, head, name, case):
+    save_model(tmp_path / "m", DomainModel(3, 4, 2, head, rng=np.random.default_rng(8)))
+    edit_checkpoint(tmp_path / "m", name, case)
+    with pytest.raises(ValueError, match=name):
+        load_model(tmp_path / "m")
 
 
 # ---------------------------------------------------------------------------

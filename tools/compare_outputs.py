@@ -10,7 +10,10 @@ OUT_DIR/parent/<config> and OUT_DIR/change/<config>. Two configs read rating
 logs (csv + csv and csv + json-lines) that the script writes once into
 OUT_DIR/logs from a fixed world, and each tree also runs ``prepare`` on them
 into OUT_DIR/<side>/prepare. The script prints every file that differs or
-exists on one side only, and the largest difference of any report metric. It
+exists on one side only, and the largest difference of any report metric.
+A differing ``report.json`` is printed with the largest difference of its
+metrics, and a differing checkpoint ``.bin`` whose two manifests list the
+same shapes with the largest absolute difference of its float64 values. It
 exits 1 on any difference or failed command, else 0. Passing the same tree
 twice checks that two processes give byte-identical outputs.
 """
@@ -25,6 +28,8 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200, "n_overlap": 140,
         "n_items_src": 80, "n_items_tgt": 80, "k_true": 4, "ratings_per_user": 12}
@@ -116,6 +121,17 @@ def max_metric_diff(a: Path, b: Path) -> float:
                 for m in ("mae", "rmse")), default=0.0)
 
 
+def max_tensor_diff(a: Path, b: Path) -> float | None:
+    """Largest absolute difference of two checkpoint blobs; None when their
+    manifests list different shapes."""
+    shapes = [[e["shape"] for e in json.loads(p.with_suffix(".json").read_text())["tensors"]]
+              for p in (a, b)]
+    if shapes[0] != shapes[1]:
+        return None
+    va, vb = (np.frombuffer(p.read_bytes(), dtype="<f8") for p in (a, b))
+    return float(np.max(np.abs(va - vb), initial=0.0))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -141,15 +157,20 @@ def main(argv: list[str]) -> int:
     parent_files, change_files = files_under(parent_out), files_under(change_out)
     differing = sorted(parent_files ^ change_files)
     worst = 0.0
+    drift = {}
     for rel in sorted(parent_files & change_files):
         if not filecmp.cmp(parent_out / rel, change_out / rel, shallow=False):
             differing.append(rel)
             if rel.name == "report.json":
-                worst = max(worst, max_metric_diff(parent_out / rel, change_out / rel))
+                drift[rel] = max_metric_diff(parent_out / rel, change_out / rel)
+                worst = max(worst, drift[rel])
+            elif rel.suffix == ".bin":
+                drift[rel] = max_tensor_diff(parent_out / rel, change_out / rel)
     for rel in differing:
         side = ("parent only" if rel not in change_files
                 else "change only" if rel not in parent_files else "differs")
-        print(f"{side}: {rel}")
+        note = "" if drift.get(rel) is None else f" (largest difference {drift[rel]:.3g})"
+        print(f"{side}: {rel}{note}")
     print(f"{len(parent_files | change_files)} files, {len(differing)} differ; "
           f"largest report metric difference {worst:.3g}")
     return 1 if failed or differing else 0
