@@ -18,12 +18,12 @@ import sys
 from pathlib import Path
 
 from . import checkpoint
-from .bridge import attention_table, save_bridge_nets
+from .bridge import save_bridge_nets
 from .data import load_domain, make_split
 from .models import TrainConfig, load_model, save_model, user_representation
 from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                        SyntheticTask, _report_row, run_cold, run_plan, run_suite, sweep_plans,
-                       write_suite_csv, write_suite_json)
+                       write_attention_csv, write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
 
@@ -176,18 +176,6 @@ def _write_traces(cold, warm, out_dir: Path) -> None:
                 writer.writerow([epoch, f"{loss:.8f}"])
 
 
-def _export_attention(cold, path: Path) -> None:
-    src_idx = [cold.src.users.index(u) for u in cold.split.test_users]
-    rows = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["user", "item", "weight"])
-        for u, i, w in rows:
-            writer.writerow([cold.src.users.external(u), cold.src.items.external(i),
-                             f"{w:.8f}"])
-    logger.info("wrote %s (%d rows)", path, len(rows))
-
-
 def _export_embeddings(cold, path: Path) -> None:
     k = cold.plan.k
     with open(path, "w", newline="") as f:
@@ -299,21 +287,16 @@ def cmd_suite(args) -> int:
     plans = sweep_plans(base, methods=cfg.get("methods"), betas=cfg.get("betas"),
                         seeds=seeds)
     _check_activation(cfg["base"], plans)
+    parallelism = args.parallel if args.parallel is not None else cfg.get("parallelism", 1)
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
-    rows = run_suite(plans, parallelism=args.parallel or cfg.get("parallelism", 1),
-                     record_runtime=cfg.get("record_runtime", False))
+    export = args.export_attention or cfg.get("export_attention")
+    rows = run_suite(plans, parallelism=parallelism,
+                     record_runtime=cfg.get("record_runtime", False),
+                     attention_dir=out if export else None)
     write_suite_csv(rows, out / "suite.csv")
     write_suite_json(rows, out / "suite.json")
-
-    if args.export_attention or cfg.get("export_attention"):
-        done = set()
-        for plan in plans:
-            key = (plan.method, plan.beta)
-            if plan.method not in BRIDGE_NET_METHODS or key in done:
-                continue
-            done.add(key)
-            cold = run_cold(plan)
-            _export_attention(cold, out / f"attention_{plan.method}_beta{plan.beta:g}.csv")
     n_failed = sum(1 for r in rows if r["stage"] == "failed")
     print(f"suite: {len(plans)} plans, {n_failed} failed -> {out}", file=sys.stderr)
     return 0 if n_failed == 0 else 1
@@ -328,7 +311,7 @@ def cmd_export(args) -> int:
     cold = run_cold(plan, pretrained=_load_pretrained(cfg, plan))
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
     if args.what in ("attention", "both"):
-        _export_attention(cold, out / "attention.csv")
+        write_attention_csv(cold, out / "attention.csv")
     if args.what in ("embeddings", "both"):
         _export_embeddings(cold, out / "embeddings.csv")
     return 0

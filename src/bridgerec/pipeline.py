@@ -14,12 +14,12 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bridge import (CharacteristicEncoder, MetaNetwork, build_context,
+from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_context,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_users)
 from .data import (RATING_MAX, RATING_MIN, DomainDataset, SplitPlan, build_sequences,
@@ -346,21 +346,39 @@ def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_use
     return report
 
 
+def _pretrained(shared: dict, side: str, data: DomainDataset, plan: ExperimentPlan,
+                seed: int):
+    """The plan's ``side`` model and its trace: from ``shared``, else pre-trained into it."""
+    if f"{side}_model" not in shared:
+        shared[f"{side}_model"], shared[f"{side}_trace"] = pretrain(
+            data, plan.k, plan.base_model, plan.pretrain, seed, plan.activation)
+    return shared[f"{side}_model"], shared.get(f"{side}_trace", [])
+
+
 def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     """Pre-train, run the plan's transfer method, and evaluate on cold sets.
 
     Each test user's initial target representation (random for tgt, shared
     for cmf, bridged otherwise) is scored against every rating in their cold
-    set; predictions are clipped to [RATING_MIN, RATING_MAX]. ``pretrained``
-    may inject already-trained {"src_model", "tgt_model"} to skip pre-training.
+    set; predictions are clipped to [RATING_MIN, RATING_MAX].
+
+    ``pretrained`` holds what plans that differ only in ``method`` share: the
+    domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
+    "src_model" (with "tgt_trace" and "src_trace"; a model without one, such
+    as a loaded checkpoint, gets an empty trace). run_cold reuses what the
+    dict holds and adds what it builds; it never modifies an entry.
     """
     seeds = _stage_seeds(plan.seed)
-    src, tgt = _resolve_data(plan, seeds["data"])
-    split = make_split(src, tgt, plan.beta, plan.seed)
-    if len(split.users_without_warm) == len(split.test_users):
-        raise ValueError(f"none of the {len(split.test_users)} test users has a warm rating, "
-                         "so the warm stage would have nothing to score")
-    tgt_train = filter_to_indices(tgt, split.target_train_indices)
+    shared = {} if pretrained is None else pretrained
+    if "split" not in shared:
+        src, tgt = _resolve_data(plan, seeds["data"])
+        split = make_split(src, tgt, plan.beta, plan.seed)
+        if len(split.users_without_warm) == len(split.test_users):
+            raise ValueError(f"none of the {len(split.test_users)} test users has a warm "
+                             "rating, so the warm stage would have nothing to score")
+        shared.update(src=src, tgt=tgt, split=split,
+                      tgt_train=filter_to_indices(tgt, split.target_train_indices))
+    src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
 
     artifacts: dict = {}
     # every test user is an overlap user, so none lacks a source sequence
@@ -373,11 +391,7 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
         scoring = cmf.tgt_items
         init = cmf.users[[cmf.user_map.index(u) for u in split.test_users]]
     else:
-        if pretrained and "tgt_model" in pretrained:
-            tgt_model, tgt_trace = pretrained["tgt_model"], []
-        else:
-            tgt_model, tgt_trace = pretrain(tgt_train, plan.k, plan.base_model, plan.pretrain,
-                                            seeds["tgt"], plan.activation)
+        tgt_model, tgt_trace = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"])
         artifacts["tgt_model"] = tgt_model
         artifacts["tgt_trace"] = tgt_trace
         scoring = item_scoring_vectors(tgt_model)
@@ -387,11 +401,7 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
             init = np.array([user_representation(tgt_model, tgt.users.index(u))
                              for u in split.test_users])
         else:
-            if pretrained and "src_model" in pretrained:
-                src_model, src_trace = pretrained["src_model"], []
-            else:
-                src_model, src_trace = pretrain(src, plan.k, plan.base_model, plan.pretrain,
-                                                seeds["src"], plan.activation)
+            src_model, src_trace = _pretrained(shared, "src", src, plan, seeds["src"])
             artifacts["src_model"] = src_model
             artifacts["src_trace"] = src_trace
             ctx = build_context(src_model, tgt_model, build_sequences(src))
@@ -506,32 +516,97 @@ def _report_row(plan: ExperimentPlan, report: MetricsReport, seconds: float,
             "runtime_s": round(seconds, 3) if record_runtime else 0.0}
 
 
-def _plan_rows(plan: ExperimentPlan, record_runtime: bool):
+def _failed_row(plan: ExperimentPlan, error: str) -> dict:
+    return {"task": plan.task.label, "beta": plan.beta, "method": plan.method,
+            "stage": "failed", "seed": plan.seed, "mae": None, "rmse": None,
+            "n_eval": None, "runtime_s": 0.0, "error": error}
+
+
+def _plan_rows(plan: ExperimentPlan, record_runtime: bool, attention_path: Path | None = None,
+               pretrained: dict | None = None):
     try:
-        (cold, t_cold), (warm, t_warm) = run_plan(plan)
+        (cold, t_cold), (warm, t_warm) = run_plan(plan, pretrained)
     except Exception as exc:  # suite keeps going; the row records the failure
         logger.exception("plan failed: %s %s beta=%s seed=%s",
                          plan.task.label, plan.method, plan.beta, plan.seed)
-        return [{"task": plan.task.label, "beta": plan.beta, "method": plan.method,
-                 "stage": "failed", "seed": plan.seed, "mae": None, "rmse": None,
-                 "n_eval": None, "runtime_s": 0.0, "error": str(exc)}]
+        return [_failed_row(plan, str(exc))]
+    if attention_path is not None:
+        write_attention_csv(cold, attention_path)
     return [_report_row(plan, cold.report, t_cold, record_runtime),
             _report_row(plan, warm, t_warm, record_runtime)]
 
 
-def run_suite(plans, parallelism: int = 1, record_runtime: bool = True):
+def _pool_rows(jobs, workers: int) -> list:
+    """Rows of each ``_plan_rows`` argument tuple, one future each in a process
+    pool; None for a job lost because a worker died (``BrokenProcessPool``, a
+    ``BrokenExecutor``: catching the base keeps multiprocessing out of import)."""
+    futures = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        for job in jobs:
+            try:
+                futures.append(pool.submit(_plan_rows, *job))
+            except concurrent.futures.BrokenExecutor:
+                futures.append(None)
+    chunks = []
+    for future in futures:
+        try:
+            chunks.append(None if future is None else future.result())
+        except concurrent.futures.BrokenExecutor:
+            chunks.append(None)
+    return chunks
+
+
+def run_suite(plans, parallelism: int = 1, record_runtime: bool = True,
+              attention_dir: Path | None = None):
     """Run every plan, then append seed-averaged rows per (task, beta, method, stage).
 
+    Run serially, plans that differ only in ``method`` share one load of the
+    domains, one split and one pre-trained source and target model, dropped
+    once the last of them has run; cmf plans run first in their group. With
+    ``parallelism`` > 1 every plan runs alone in a worker process.
+
     Failed plans produce a single row with stage "failed" and an ``error``
-    field; the suite continues. Rows come back in deterministic plan order.
+    field; the suite continues. A worker that dies loses every plan its pool
+    had not finished, so each of those runs again alone: only a plan that
+    kills its own worker fails. Rows come back in deterministic plan order.
+
+    With ``attention_dir``, the first plan of each ptupcdr-family (method,
+    beta) writes its cold run's attention weights to
+    ``attention_<method>_beta<beta>.csv`` there.
     """
     if not plans:
         raise ValueError("need at least one plan")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    attention = {}
+    if attention_dir is not None:
+        for i, plan in enumerate(plans):
+            if plan.method in BRIDGE_NET_METHODS:
+                attention.setdefault((plan.method, plan.beta), i)
+    paths = {i: Path(attention_dir) / f"attention_{method}_beta{beta:g}.csv"
+             for (method, beta), i in attention.items()}
+    jobs = [(plan, record_runtime, paths.get(i)) for i, plan in enumerate(plans)]
+
     if parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(_plan_rows, plans, [record_runtime] * len(plans)))
+        chunks = _pool_rows(jobs, parallelism)
+        for i, plan in enumerate(plans):
+            if chunks[i] is None:
+                chunks[i] = _pool_rows([jobs[i]], 1)[0]
+            if chunks[i] is None:
+                logger.error("plan failed: %s %s beta=%s seed=%s: its worker process died",
+                             plan.task.label, plan.method, plan.beta, plan.seed)
+                chunks[i] = [_failed_row(plan, "the worker process running the plan died")]
     else:
-        chunks = [_plan_rows(p, record_runtime) for p in plans]
+        chunks = [None] * len(plans)
+        shares: dict[tuple, list[int]] = {}  # plan indices by every field but method
+        for i, plan in enumerate(plans):
+            shares.setdefault(astuple(replace(plan, method=METHODS[0])), []).append(i)
+        for group in shares.values():
+            shared: dict = {}
+            # cmf trains no base model: run it before any is pre-trained, so that
+            # no shared model is alive while cmf's larger tables train
+            for i in sorted(group, key=lambda i: plans[i].method != "cmf"):
+                chunks[i] = _plan_rows(*jobs[i], shared)
     rows = [r for chunk in chunks for r in chunk]
 
     groups: dict[tuple, list[dict]] = {}
@@ -561,6 +636,19 @@ def _format_cell(col, value):
     if col in ("beta", "n_eval"):
         return f"{value:g}" if isinstance(value, float) else str(value)
     return str(value)
+
+
+def write_attention_csv(cold: ColdRun, path) -> None:
+    """Attention weights of each test user's source history: user, item, weight."""
+    src_idx = [cold.src.users.index(u) for u in cold.split.test_users]
+    rows = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["user", "item", "weight"])
+        for u, i, w in rows:
+            writer.writerow([cold.src.users.external(u), cold.src.items.external(i),
+                             f"{w:.8f}"])
+    logger.info("wrote %s (%d rows)", path, len(rows))
 
 
 def write_suite_csv(rows, path) -> None:

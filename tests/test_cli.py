@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
 
+from bridgerec import pipeline
 from bridgerec.cli import main
 from bridgerec.models import DomainModel, TrainConfig, save_model
 from bridgerec.pipeline import BASE_MODELS, METHODS
@@ -429,4 +432,74 @@ def test_config_values_that_would_be_ignored_are_rejected(tmp_path, capsys, monk
         cfg = _run_config(tmp_path, **overrides)
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# suite: shared inputs, dead workers, parallelism
+
+def test_suite_attention_comes_from_the_suite_cold_runs(tmp_path, monkeypatch):
+    calls = {"run_cold": 0, "pretrain": 0}
+    run_cold, pretrain = pipeline.run_cold, pipeline.pretrain
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "run_cold", counted("run_cold", run_cold))
+    monkeypatch.setattr(pipeline, "pretrain", counted("pretrain", pretrain))
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr", "ptupcdr"])
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seeds": [0, 1]}))
+    out = tmp_path / "out"
+    assert main(["suite", str(cfg), "--export-attention", "--out-dir", str(out)]) == 0
+    # one cold run per plan; per seed one target and one source pre-train
+    assert calls == {"run_cold": 6, "pretrain": 4}
+    # the csv is the one `export` writes for the first seed's plan
+    run_cfg = _run_config(tmp_path, **{**json.loads(cfg.read_text())["base"],
+                                       "method": "ptupcdr", "seed": 0})
+    assert main(["export", str(run_cfg), "--what", "attention",
+                 "--out-dir", str(tmp_path / "export")]) == 0
+    assert (out / "attention_ptupcdr_beta0.2.csv").read_bytes() == \
+        (tmp_path / "export" / "attention.csv").read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched run_plan only when forked")
+def test_suite_keeps_every_row_but_those_of_a_plan_whose_worker_dies(tmp_path, monkeypatch,
+                                                                      capsys):
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr", "cmf"])
+    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+    serial = json.loads((tmp_path / "serial" / "suite.json").read_text())
+
+    run_plan = pipeline.run_plan
+
+    def dies_on_emcdr(plan, pretrained=None):
+        if plan.method == "emcdr":
+            os._exit(3)
+        return run_plan(plan, pretrained)
+
+    monkeypatch.setattr(pipeline, "run_plan", dies_on_emcdr)
+    out = tmp_path / "parallel"
+    assert main(["suite", str(cfg), "--parallel", "2", "--out-dir", str(out)]) == 1
+    assert "3 plans, 1 failed" in capsys.readouterr().err
+    rows = json.loads((out / "suite.json").read_text())
+    assert [r for r in rows if r["method"] != "emcdr"] == \
+        [r for r in serial if r["method"] != "emcdr"]
+    (failed,) = [r for r in rows if r["method"] == "emcdr"]
+    assert failed["stage"] == "failed" and "worker process" in failed["error"]
+
+
+@pytest.mark.parametrize("suite_keys, flags", [
+    ({"parallelism": -4}, []),
+    ({"parallelism": 2}, ["--parallel", "0"]),
+    ({}, ["--parallel", "-2"]),
+], ids=["config-negative", "flag-zero", "flag-negative"])
+def test_suite_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, suite_keys, flags):
+    _no_training(monkeypatch)
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr"])
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **suite_keys}))
+    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: parallelism must be >= 1")
     assert not (tmp_path / "out").exists()

@@ -246,6 +246,28 @@ def test_grad_check_flags_scaled_gradient():
     np.testing.assert_allclose(err, 1.0 / 3.0, atol=1e-5)
 
 
+@pytest.mark.parametrize("size", [1.0, 1e-3, 1e-5])
+def test_grad_check_flags_a_1e4_relative_error_at_any_gradient_size(size):
+    # true gradient (2, 2 * size); the second entry is reported 1e-4 too large,
+    # which a check without a floor reports as 1e-4 / (2 + 1e-4)
+    params = {"w": np.array([1.0, size])}
+    loss = lambda p: float(np.sum(p["w"] ** 2))
+    wrong = lambda p: {"w": 2.0 * p["w"] * np.array([1.0, 1.0 + 1e-4])}
+    err = grad_check(loss, wrong, params, eps=1e-5)
+    np.testing.assert_allclose(err, 1e-4 / (2.0 + 1e-4), rtol=1e-2)
+
+
+@pytest.mark.parametrize("true_grad, want", [(1e-8, 1e-5), (1e-1, 1.0)])
+def test_grad_check_judges_a_zero_analytic_entry_against_the_gradient_scale(true_grad, want):
+    # the largest entry is 1e3, so the floor is 1e-3: a true gradient of 1e-8
+    # (the size of central-difference rounding noise at a loss of ~10) passes,
+    # one of 1e-4 of the scale fails outright
+    params = {"w": np.array([0.0, 0.0])}
+    loss = lambda p: float(1e3 * p["w"][0] + true_grad * p["w"][1])
+    claimed = lambda p: {"w": np.array([1e3, 0.0])}
+    np.testing.assert_allclose(grad_check(loss, claimed, params, eps=1e-5), want, rtol=1e-3)
+
+
 def test_grad_check_validates_eps_and_finiteness():
     params = {"w": np.array([1.0])}
     loss = lambda p: float(p["w"][0] ** 2)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgerec import pipeline
 from bridgerec.data import build_sequences
 from bridgerec.bridge import transform_user
 from bridgerec.models import TrainConfig, predict_batch, pretrain, user_representation
-from bridgerec.pipeline import (AmazonTask, ExperimentPlan, SyntheticSpec,
-                                SyntheticTask, compute_metrics,
+from bridgerec.pipeline import (METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
+                                SyntheticTask, _plan_rows, compute_metrics,
                                 generate_synthetic, run_cold, run_suite,
-                                run_warm, sweep_plans, write_suite_csv)
+                                run_warm, sweep_plans, write_suite_csv, write_suite_json)
 
 SMALL = dict(n_users_src=140, n_users_tgt=140, n_overlap=100,
              n_items_src=90, n_items_tgt=90, k_true=5, ratings_per_user=15)
@@ -357,11 +359,98 @@ def test_suite_records_failures_and_continues(tmp_path):
     assert len(ok) == 2
 
 
-def test_suite_parallel_matches_serial():
-    plans = sweep_plans(_fast_plan(), methods=["tgt", "emcdr"], seeds=[0])
-    serial = run_suite(plans, parallelism=1, record_runtime=False)
-    parallel = run_suite(plans, parallelism=2, record_runtime=False)
-    assert serial == parallel
+SWEEP = dict(methods=["tgt", "cmf", "emcdr", "ptupcdr"], betas=[0.2, 0.4], seeds=[0, 1])
+
+
+def test_suite_parallel_matches_serial(tmp_path):
+    # the parallel path runs every plan alone in a worker and shares nothing
+    plans = sweep_plans(_fast_plan(), **SWEEP)
+    for name, parallelism in (("serial", 1), ("parallel", 2)):
+        write_suite_json(run_suite(plans, parallelism=parallelism, record_runtime=False),
+                         tmp_path / f"{name}.json")
+    assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "parallel.json").read_bytes()
+
+
+def test_suite_rows_equal_each_plan_run_alone():
+    plans = sweep_plans(_fast_plan(), **SWEEP)
+    rows = run_suite(plans, record_runtime=False)
+    alone = [r for plan in plans for r in _plan_rows(plan, False)]
+    assert rows[:len(alone)] == alone
+
+
+def _write_log(ds, path):
+    with open(path, "w") as f:
+        f.write("user,item,rating,timestamp\n")
+        for u, i, r, t in zip(ds.user_idx, ds.item_idx, ds.rating, ds.timestamp):
+            f.write(f"{ds.users.external(u)},{ds.items.external(i)},{float(r)!r},{t}\n")
+
+
+def test_suite_loads_splits_and_pretrains_once_per_group(tmp_path, monkeypatch):
+    src, tgt, _ = generate_synthetic(_fast_suite_spec(), 0)
+    _write_log(src, tmp_path / "src.csv")
+    _write_log(tgt, tmp_path / "tgt.csv")
+    calls = {"load_domain": [], "make_split": 0, "pretrain": []}
+    load_domain, make_split, pretrain = (pipeline.load_domain, pipeline.make_split,
+                                         pipeline.pretrain)
+
+    def counted_load(path, fmt=None):
+        calls["load_domain"].append(path)
+        return load_domain(path, fmt)
+
+    def counted_split(*args):
+        calls["make_split"] += 1
+        return make_split(*args)
+
+    def counted_pretrain(dataset, *args):
+        calls["pretrain"].append(dataset.items.external(0)[:2])  # "si" or "ti"
+        return pretrain(dataset, *args)
+
+    monkeypatch.setattr(pipeline, "load_domain", counted_load)
+    monkeypatch.setattr(pipeline, "make_split", counted_split)
+    monkeypatch.setattr(pipeline, "pretrain", counted_pretrain)
+    base = replace(_fast_plan(), task=AmazonTask(str(tmp_path / "src.csv"),
+                                                 str(tmp_path / "tgt.csv")))
+    rows = run_suite(sweep_plans(base, **SWEEP), record_runtime=False)
+    assert all(r["stage"] in ("cold", "warm") for r in rows)
+    groups = len(SWEEP["betas"]) * len(SWEEP["seeds"])
+    assert calls["load_domain"] == [str(tmp_path / "src.csv"), str(tmp_path / "tgt.csv")] * groups
+    assert calls["make_split"] == groups
+    # tgt pre-trains the target model, emcdr the source model; ptupcdr reuses both
+    assert calls["pretrain"] == ["ti", "si"] * groups
+
+
+@pytest.mark.parametrize("base_model, finetune_items",
+                         [("mf", False), ("mf", True), ("gmf", True), ("two_tower", True)])
+def test_suite_plans_leave_their_shared_inputs_unchanged(monkeypatch, base_model,
+                                                         finetune_items):
+    run_plan = pipeline.run_plan
+    groups = []  # (shared dict, {key: pickled entry as first handed out})
+
+    def unchanged():
+        for shared, pickled in groups:
+            assert {key: pickle.dumps(shared[key]) for key in pickled} == pickled
+
+    def checked(plan, pretrained):
+        unchanged()
+        result = run_plan(plan, pretrained)
+        unchanged()
+        pickled = next((p for shared, p in groups if shared is pretrained), None)
+        if pickled is None:
+            pickled = {}
+            groups.append((pretrained, pickled))
+        for key, value in pretrained.items():
+            pickled.setdefault(key, pickle.dumps(value))
+        return result
+
+    monkeypatch.setattr(pipeline, "run_plan", checked)
+    base = replace(_fast_plan(), base_model=base_model, finetune_items=finetune_items)
+    rows = run_suite(sweep_plans(base, methods=list(METHODS), seeds=[0, 1]),
+                     record_runtime=False)
+    assert all(r["stage"] in ("cold", "warm") for r in rows)
+    assert len(groups) == 2
+    for _, pickled in groups:
+        assert set(pickled) == {"src", "tgt", "split", "tgt_train", "tgt_model", "tgt_trace",
+                                "src_model", "src_trace"}
 
 
 def test_suite_beta_sweep_monotone_for_ptupcdr():

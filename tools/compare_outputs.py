@@ -9,8 +9,12 @@ and then ``export``, with BLAS pinned to one thread, writing into
 OUT_DIR/parent/<config> and OUT_DIR/change/<config>. Two configs read rating
 logs (csv + csv and csv + json-lines) that the script writes once into
 OUT_DIR/logs from a fixed world, and each tree also runs ``prepare`` on them
-into OUT_DIR/<side>/prepare. The script prints every file that differs or
-exists on one side only, and the largest difference of any report metric.
+into OUT_DIR/<side>/prepare. On the csv + json-lines logs each tree also runs
+one ``suite`` sweep (tgt, cmf, emcdr and ptupcdr over two betas and two
+seeds, with ``--export-attention``) serially into OUT_DIR/<side>/suite-serial
+and with ``--parallel 2`` into OUT_DIR/<side>/suite-parallel. The script
+prints every file that differs or exists on one side only, and the largest
+difference of any report metric.
 A differing ``report.json`` is printed with the largest difference of its
 metrics, and a differing checkpoint ``.bin`` whose two manifests list the
 same shapes with the largest absolute difference of its float64 values. It
@@ -83,8 +87,17 @@ def matrix(log_dir: Path) -> dict[str, dict]:
     return {name: {**BASE, **overrides} for name, overrides in configs.items()}
 
 
+def suite_config(log_dir: Path) -> dict:
+    base = {k: v for k, v in BASE.items() if k != "save_checkpoints"}
+    task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
+            "tgt_path": str(log_dir / "movies.jsonl")}
+    return {"base": {**base, "task": task, "method": "tgt"},
+            "methods": ["tgt", "cmf", "emcdr", "ptupcdr"], "betas": [0.2, 0.4], "seeds": [3, 4]}
+
+
 def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
-    """Run every config and a prepare against one source tree; returns the failed commands."""
+    """Run every config, a prepare and the suite sweep against one source tree;
+    returns the failed commands."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -99,6 +112,10 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
                  (["export", str(cfg_path), "--what", what], run_dir)]
     jobs.append((["prepare", str(log_dir / "books.csv"), str(log_dir / "movies.jsonl"),
                   "--beta", "0.3", "--seed", "3"], out / "prepare"))
+    suite_path = out / "suite-config.json"
+    suite_path.write_text(json.dumps(suite_config(log_dir), indent=2))
+    for name, flags in (("suite-serial", []), ("suite-parallel", ["--parallel", "2"])):
+        jobs.append((["suite", str(suite_path), "--export-attention", *flags], out / name))
     failed = []
     for args, run_dir in jobs:
         cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
