@@ -36,34 +36,25 @@ def _annotations(cls) -> dict[str, str]:
     return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
-# config key -> annotation of the value it takes, as written on the dataclass field
-_TRAIN_TYPES = _annotations(TrainConfig)
-_SYNTH_TYPES = _annotations(SyntheticSpec)
-_AMAZON_TYPES = {("format" if k == "fmt" else k): t for k, t in _annotations(AmazonTask).items()}
-_PLAN_KEYS = [f.name for f in dataclasses.fields(ExperimentPlan)]
-# plan fields a run config sets directly; task, method and the stages are parsed
-_PLAN_SCALAR_KEYS = [k for k in _PLAN_KEYS if k not in ("task", "method", *_STAGES)]
-_RUN_ONLY_TYPES = {"stage": "str", "checkpoint_dir": "str", "save_checkpoints": "bool",
-                   "out_dir": "str | None", "record_runtime": "bool"}
-_RUN_ONLY_KEYS = tuple(_RUN_ONLY_TYPES)
-_RUN_KEYS = {*_PLAN_KEYS, *_RUN_ONLY_KEYS}
-_RUN_TYPES = {**{k: t for k, t in _annotations(ExperimentPlan).items() if k in _PLAN_SCALAR_KEYS},
-              **_RUN_ONLY_TYPES}
-_SUITE_TYPES = {"methods": "list[str] | None", "betas": "list[float] | None",
-                "seeds": "list[int] | None", "parallelism": "int", "record_runtime": "bool",
-                "out_dir": "str | None", "export_attention": "bool"}
-_SUITE_KEYS = {"base", *_SUITE_TYPES}
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# one schema per config level: config key -> annotation of the value it takes, as
+# written on the dataclass field; an "object" is a block with a schema of its own
+_TRAIN_SCHEMA = _annotations(TrainConfig)
+_SYNTH_SCHEMA = {"kind": "str", **_annotations(SyntheticSpec)}
+_AMAZON_SCHEMA = {"kind": "str", **{("format" if k == "fmt" else k): t
+                                    for k, t in _annotations(AmazonTask).items()}}
+_PLAN_SCHEMA = {**_annotations(ExperimentPlan), "task": "object",
+                **dict.fromkeys(_STAGES, "object")}
+_RUN_SCHEMA = {**_PLAN_SCHEMA, "stage": "str", "checkpoint_dir": "str",
+               "save_checkpoints": "bool", "out_dir": "str | None", "record_runtime": "bool"}
+_SUITE_SCHEMA = {"base": "object", "methods": "list[str] | None",
+                 "betas": "list[float] | None", "seeds": "list[int] | None",
+                 "parallelism": "int", "record_runtime": "bool", "out_dir": "str | None",
+                 "export_attention": "bool"}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "object": dict}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_keys(d: dict, allowed, where: str) -> None:
-    unknown = set(d).difference(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _fits(value, annotation: str) -> bool:
@@ -78,52 +69,48 @@ def _fits(value, annotation: str) -> bool:
     return any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k in _JSON_TYPES)
 
 
-def _check_types(d: dict, types: dict[str, str], where: str) -> None:
+def _check(d, schema: dict[str, str], where: str) -> None:
+    """Reject, in this order, a block that is not an object, a key ``schema`` lacks and
+    a value that does not fit its key's annotation."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    unknown = set(d).difference(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     for key, value in d.items():
-        if key in types and not _fits(value, types[key]):
-            raise ConfigError(f"{where} key {key!r} must be {types[key]}, got {value!r}")
+        if not _fits(value, schema[key]):
+            raise ConfigError(f"{where} key {key!r} must be {schema[key]}, got {value!r}")
 
 
 def _parse_train(d: dict, where: str) -> TrainConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {d!r}")
     if "activation" in d:
         raise ConfigError(f"activation is not a {where} setting; set the top-level 'activation'")
-    _check_keys(d, _TRAIN_TYPES, where)
-    _check_types(d, _TRAIN_TYPES, where)
+    _check(d, _TRAIN_SCHEMA, where)
     return TrainConfig(**d)
 
 
 def _parse_task(d: dict):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("task must be an object with a 'kind' field")
-    kind = d["kind"]
-    rest = {k: v for k, v in d.items() if k != "kind"}
+    kind = d.get("kind")
     if kind == "synthetic":
-        _check_keys(rest, _SYNTH_TYPES, "task")
-        _check_types(rest, _SYNTH_TYPES, "task")
-        return SyntheticTask(SyntheticSpec(**rest))
+        _check(d, _SYNTH_SCHEMA, "task")
+        return SyntheticTask(SyntheticSpec(**{k: v for k, v in d.items() if k != "kind"}))
     if kind == "amazon":
-        _check_keys(rest, _AMAZON_TYPES, "task")
-        _check_types(rest, _AMAZON_TYPES, "task")
-        if "src_path" not in rest or "tgt_path" not in rest:
+        _check(d, _AMAZON_SCHEMA, "task")
+        if "src_path" not in d or "tgt_path" not in d:
             raise ConfigError("amazon task needs src_path and tgt_path")
-        return AmazonTask(src_path=rest["src_path"], tgt_path=rest["tgt_path"],
-                          fmt=rest.get("format"), name=rest.get("name", ""))
-    raise ConfigError(f"unknown task kind {kind!r}, expected 'synthetic' or 'amazon'")
+        return AmazonTask(src_path=d["src_path"], tgt_path=d["tgt_path"],
+                          fmt=d.get("format"), name=d.get("name", ""))
+    raise ConfigError(f"task 'kind' must be 'synthetic' or 'amazon', got {kind!r}")
 
 
 def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
     try:
-        _check_keys(cfg, _RUN_KEYS, "run config")
-        _check_types(cfg, _RUN_TYPES, "run config")
+        _check(cfg, _RUN_SCHEMA, "run config")
         for key in ("task", "method"):
             if key not in cfg:
                 raise ConfigError(f"run config missing required key {key!r}")
-        kwargs = {"task": _parse_task(cfg["task"]), "method": cfg["method"]}
-        for key in _PLAN_SCALAR_KEYS:
-            if key in cfg:
-                kwargs[key] = cfg[key]
+        kwargs = {k: v for k, v in cfg.items() if k in _PLAN_SCHEMA}
+        kwargs["task"] = _parse_task(cfg["task"])
         for stage in _STAGES:
             if stage in cfg:
                 kwargs[stage] = _parse_train(cfg[stage], stage)
@@ -277,12 +264,11 @@ def cmd_run(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg, _SUITE_KEYS, "suite config")
+    _check(cfg, _SUITE_SCHEMA, "suite config")
     if "base" not in cfg:
         raise ConfigError("suite config missing required key 'base'")
+    _check(cfg["base"], _PLAN_SCHEMA, "suite base")
     base = build_plan(cfg["base"])
-    _check_keys(cfg["base"], _RUN_KEYS - set(_RUN_ONLY_KEYS), "suite base")
-    _check_types(cfg, _SUITE_TYPES, "suite config")
     seeds = [args.seed] if args.seed is not None else cfg.get("seeds")
     plans = sweep_plans(base, methods=cfg.get("methods"), betas=cfg.get("betas"),
                         seeds=seeds)

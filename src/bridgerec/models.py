@@ -31,6 +31,8 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self):
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

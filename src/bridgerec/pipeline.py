@@ -24,6 +24,7 @@ from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_
                      transform_users)
 from .data import (RATING_MAX, RATING_MIN, DomainDataset, SplitPlan, build_sequences,
                    dataset_from_columns, filter_to_indices, load_domain, make_split)
+from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
 from .nn import ACTIVATIONS, fit, softmax, table_grad
@@ -33,7 +34,6 @@ logger = logging.getLogger(__name__)
 LR_GRID = (0.001, 0.005, 0.01, 0.02, 0.1)
 METHODS = ("tgt", "cmf", "emcdr", "ptupcdr", "ptupcdr_mapping_ablation")
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
-BASE_MODELS = ("mf", "gmf", "two_tower")
 BRIDGE_FAMILIES = ("shared_linear", "per_user_linear")
 
 SUITE_COLUMNS = ("task", "beta", "method", "stage", "seed",
@@ -125,6 +125,8 @@ class ExperimentPlan:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.max_seq_len is not None and self.max_seq_len < 1:
+            raise ValueError(f"max_seq_len must be None or >= 1, got {self.max_seq_len}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not self.allow_off_grid_lr:
@@ -291,9 +293,6 @@ def compute_metrics(ratings, predictions):
 
 @dataclass
 class MetricsReport:
-    method: str
-    beta: float
-    seed: int
     stage: str
     mae: float
     rmse: float
@@ -338,8 +337,7 @@ def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_use
              for rows, e in zip(rows_per_user, E)]
     rows = np.concatenate(rows_per_user)
     mae, rmse = compute_metrics(tgt.rating[rows], np.concatenate(preds))
-    report = MetricsReport(method=plan.method, beta=plan.beta, seed=plan.seed,
-                           stage=stage, mae=mae, rmse=rmse, n_eval=len(rows),
+    report = MetricsReport(stage=stage, mae=mae, rmse=rmse, n_eval=len(rows),
                            counters=counters, trace=list(trace))
     logger.info("%s %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
                 stage, plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
@@ -668,10 +666,9 @@ def write_suite_json(rows, path) -> None:
 
 
 def sweep_plans(base: ExperimentPlan, methods=None, betas=None, seeds=None):
-    """Cross product of method/beta/seed variations of a base plan."""
-    plans = []
-    for m in methods or [base.method]:
-        for b in betas or [base.beta]:
-            for s in seeds or [base.seed]:
-                plans.append(replace(base, method=m, beta=b, seed=s))
-    return plans
+    """Cross product of method/beta/seed variations of a base plan; None keeps the base's."""
+    for name, values in (("methods", methods), ("betas", betas), ("seeds", seeds)):
+        if values is not None and len(values) == 0:
+            raise ValueError(f"{name} must be None or a non-empty list")
+    return [replace(base, method=m, beta=b, seed=s) for m in methods or [base.method]
+            for b in betas or [base.beta] for s in seeds or [base.seed]]

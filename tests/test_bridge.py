@@ -8,6 +8,7 @@ from bridgerec.bridge import (CharacteristicEncoder, ColdSourceUserError,
                               mapping_oriented_loss, save_bridge_nets,
                               task_oriented_loss, train_common_bridge,
                               train_meta, train_meta_mapping, transform_user)
+from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.models import TrainConfig
 from bridgerec.nn import grad_check, prefix_params, softmax
 from conftest import edit_checkpoint
@@ -418,4 +419,15 @@ def test_load_bridge_nets_rejects_a_wrong_name_or_shape(tmp_path, name, case):
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
     edit_checkpoint(tmp_path / "nets", name, case)
     with pytest.raises(ValueError, match="checkpoint at"):
+        load_bridge_nets(tmp_path / "nets")
+
+
+@pytest.mark.parametrize("max_seq_len", [0, -3])
+def test_encoder_rejects_a_sequence_cap_below_one(tmp_path, max_seq_len):
+    with pytest.raises(ValueError, match="max_seq_len must be None or >= 1"):
+        _enc(max_seq_len=max_seq_len)
+    save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
+    tensors, info = load_tensors(tmp_path / "nets")
+    save_tensors(tmp_path / "nets", tensors, {**info, "max_seq_len": max_seq_len})
+    with pytest.raises(ValueError, match="max_seq_len must be None or >= 1"):
         load_bridge_nets(tmp_path / "nets")

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -6,9 +8,10 @@ import time
 import pytest
 
 from bridgerec import pipeline
-from bridgerec.cli import main
+from bridgerec.cli import build_plan, main
 from bridgerec.models import DomainModel, TrainConfig, save_model
-from bridgerec.pipeline import BASE_MODELS, METHODS
+from bridgerec.pipeline import (BASE_MODELS, METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
+                                SyntheticTask, sweep_plans)
 from conftest import edit_checkpoint
 
 SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
@@ -502,4 +505,124 @@ def test_suite_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, suit
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **suite_keys}))
     assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: parallelism must be >= 1")
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# config schemas and value checks
+
+@pytest.mark.parametrize("command, config, message", [
+    ("run", {"task": 5}, "run config key 'task' must be object, got 5"),
+    ("run", {"task": [SMOKE_TASK]}, "run config key 'task' must be object"),
+    ("run", {"bridge": "fast"}, "run config key 'bridge' must be object, got 'fast'"),
+    ("run", {"finetune": None}, "run config key 'finetune' must be object, got None"),
+    ("run", {"task": {"n_overlap": 5}}, "task 'kind'"),
+    ("suite", {"base": 5}, "suite config key 'base' must be object, got 5"),
+    ("suite", {"base": {"task": 5, "method": "tgt"}}, "suite base key 'task' must be object"),
+    ("suite", {"base": {"task": SMOKE_TASK, "method": "tgt", "pretrain": []}},
+     "suite base key 'pretrain' must be object, got []"),
+], ids=["task-int", "task-list", "stage-str", "stage-null", "task-no-kind", "base-int",
+        "base-task-int", "base-stage-list"])
+def test_blocks_that_are_not_objects_name_their_key(tmp_path, capsys, monkeypatch,
+                                                    command, config, message):
+    _no_training(monkeypatch)
+    if command == "run":
+        cfg = _run_config(tmp_path, **config)
+    else:
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({**config, "methods": ["tgt"]}))
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def _left_at_default(obj, where="plan"):
+    """Paths of the fields of a dataclass, and of the dataclasses it holds, that equal
+    their default."""
+    found = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            found += _left_at_default(value, f"{where}.{f.name}")
+        elif f.default is not dataclasses.MISSING and value == f.default:
+            found.append(f"{where}.{f.name}")
+    return found
+
+
+def _stage(lr, epochs, batch_size, patience):
+    return {"lr": lr, "epochs": epochs, "batch_size": batch_size, "patience": patience}
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({"task": {"kind": "synthetic", "n_users_src": 120, "n_users_tgt": 110, "n_overlap": 90,
+               "n_items_src": 60, "n_items_tgt": 50, "k_true": 3, "ratings_per_user": 8,
+               "noise_sd": 0.2, "bridge_family": "shared_linear", "n_clusters": 2,
+               "selection_sharpness": 1.5, "identity_bridge": True},
+      "method": "emcdr", "base_model": "gmf", "beta": 0.4, "seed": 7, "k": 5,
+      "activation": "tanh", "pretrain": _stage(0.003, 4, 64, 2),
+      "bridge": _stage(0.02, 5, 32, 1), "finetune": _stage(0.1, 6, 16, 0),
+      "max_seq_len": 8, "finetune_items": True, "allow_off_grid_lr": True},
+     ExperimentPlan(
+         task=SyntheticTask(SyntheticSpec(120, 110, 90, 60, 50, 3, 8, 0.2, "shared_linear", 2,
+                                          1.5, True)),
+         method="emcdr", base_model="gmf", beta=0.4, seed=7, k=5, activation="tanh",
+         pretrain=TrainConfig(0.003, 4, 64, 2), bridge=TrainConfig(0.02, 5, 32, 1),
+         finetune=TrainConfig(0.1, 6, 16, 0), max_seq_len=8, finetune_items=True,
+         allow_off_grid_lr=True)),
+    ({"task": {"kind": "amazon", "src_path": "books.csv", "tgt_path": "movies.jsonl",
+               "format": "jsonl", "name": "books->movies"},
+      "method": "ptupcdr_mapping_ablation", "base_model": "two_tower", "beta": 0.5, "seed": 2,
+      "k": 3, "activation": "tanh", "pretrain": _stage(0.005, 2, 8, 3),
+      "bridge": _stage(0.001, 3, 4, 4), "finetune": _stage(0.02, 1, 2, 5),
+      "max_seq_len": None, "finetune_items": True, "allow_off_grid_lr": True},
+     ExperimentPlan(
+         task=AmazonTask("books.csv", "movies.jsonl", "jsonl", "books->movies"),
+         method="ptupcdr_mapping_ablation", base_model="two_tower", beta=0.5, seed=2, k=3,
+         activation="tanh", pretrain=TrainConfig(0.005, 2, 8, 3),
+         bridge=TrainConfig(0.001, 3, 4, 4), finetune=TrainConfig(0.02, 1, 2, 5),
+         max_seq_len=None, finetune_items=True, allow_off_grid_lr=True)),
+], ids=["synthetic", "amazon"])
+def test_every_plan_field_can_be_set_from_a_run_config(config, expected):
+    assert _left_at_default(expected) == []
+    assert build_plan(config) == expected
+
+
+@pytest.mark.parametrize("command, value", [("run", 0), ("run", -3), ("export", 0),
+                                            ("suite", -3)])
+def test_max_seq_len_below_one_is_rejected_before_training(tmp_path, capsys, monkeypatch,
+                                                           command, value):
+    _no_training(monkeypatch)
+    if command == "suite":
+        cfg = _suite_config(tmp_path, ["ptupcdr"], max_seq_len=value)
+    else:
+        cfg = _run_config(tmp_path, max_seq_len=value)
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"max_seq_len must be None or >= 1, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lr", [-0.01, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_lr_is_rejected(tmp_path, capsys, monkeypatch, lr):
+    with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+        TrainConfig(lr=lr)
+    _no_training(monkeypatch)
+    # json writes nan and inf as NaN and Infinity, which json.loads reads back
+    cfg = _run_config(tmp_path, allow_off_grid_lr=True, bridge={"lr": lr, "epochs": 2})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: lr must be finite and >= 0")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["methods", "betas", "seeds"])
+def test_an_empty_sweep_list_is_rejected(tmp_path, capsys, monkeypatch, key):
+    base = build_plan(json.loads(_run_config(tmp_path).read_text()))
+    with pytest.raises(ValueError, match=f"{key} must be None or a non-empty list"):
+        sweep_plans(base, **{key: []})
+    _no_training(monkeypatch)
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr"])
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: []}))
+    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be None or a non-empty list")
     assert not (tmp_path / "out").exists()
