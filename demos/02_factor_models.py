@@ -23,11 +23,12 @@ dataset = dataset_from_columns([f"u{a}" for a in rows], [f"i{b}" for b in cols],
                                R.ravel(), np.arange(25 * 25))
 
 for head in ("mf", "gmf", "two_tower"):
-    model, trace = pretrain(dataset, k=3, head=head,
-                            config=TrainConfig(lr=0.02, epochs=500), seed=0)
+    model, record = pretrain(dataset, k=3, head=head,
+                             config=TrainConfig(lr=0.02, epochs=500), seed=0)
     pred = predict_batch(model, dataset.user_idx, dataset.item_idx)
     rmse = float(np.sqrt(np.mean((pred - dataset.rating) ** 2)))
-    print(f"{head:10s} loss {trace[0]:.4f} -> {trace[-1]:.6f}   train rmse {rmse:.4f}")
+    losses = record.losses
+    print(f"{head:10s} loss {losses[0]:.4f} -> {losses[-1]:.6f}   train rmse {rmse:.4f}")
 
 print("\nsame seed twice gives bit-identical parameters:")
 m1, _ = pretrain(dataset, k=3, config=TrainConfig(lr=0.02, epochs=50), seed=1)

@@ -17,7 +17,7 @@ from .data import (DomainDataset, IdMap, MalformedRowError, SplitPlan,
                    make_split, overlap_users, verify_split)
 from .models import (CmfModel, DomainModel, TrainConfig, cmf_train, pretrain,
                      score, user_representation)
-from .nn import Adam, TwoLayerNet, fit, grad_check, softmax
+from .nn import Adam, TrainRecord, TwoLayerNet, fit, grad_check, softmax
 from .pipeline import (AmazonTask, ExperimentPlan, MetricsReport, PlantedTruth,
                        SyntheticSpec, SyntheticTask, compute_metrics,
                        generate_synthetic, run_cold, run_plan, run_suite,

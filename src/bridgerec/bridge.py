@@ -267,8 +267,8 @@ def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
                         config, seed: int = 0):
     """Fit one shared linear bridge to (source, target) representation pairs.
 
-    Mini-batch Adam on the embedding-matching loss. Returns (W, trace); the
-    trace records the loss per epoch and the supervision counters.
+    Mini-batch Adam on the embedding-matching loss, one example per pair.
+    Returns (W, TrainRecord).
     """
     u_src = np.atleast_2d(np.asarray(u_src, dtype=np.float64))
     u_tgt = np.atleast_2d(np.asarray(u_tgt, dtype=np.float64))
@@ -277,11 +277,8 @@ def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
         raise ValueError("no supervision: zero overlapping users")
     rng = np.random.default_rng(seed)
     W = uniform_init(rng, k, (k, k))
-    losses = fit({"W": W}, lambda rows: mapping_oriented_loss(W, u_src[rows], u_tgt[rows]),
-                 n, config, rng, "common-bridge training")
-    trace = {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-             "epochs": len(losses)}
-    return W, trace
+    return W, fit({"W": W}, lambda rows: mapping_oriented_loss(W, u_src[rows], u_tgt[rows]),
+                  n, config, rng, "common-bridge training")
 
 
 def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferContext,
@@ -290,8 +287,8 @@ def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferConte
     """Train encoder and generator on the rating task (embeddings frozen).
 
     Mini-batch Adam over individual rating triples of the training overlap
-    users. Returns a trace with per-epoch losses and consumption counters;
-    triples of users with no source sequence are dropped and count as skipped.
+    users. Returns the TrainRecord of ``nn.fit``; triples of users with no
+    source sequence are dropped and count as skipped.
     """
     usable = _with_source(ctx, src_user)
     dropped = int((~usable).sum())
@@ -305,13 +302,11 @@ def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferConte
     def batch_fn(rows):
         return task_oriented_loss(enc, meta, ctx, src_user[rows], tgt_item[rows], rating[rows])[:2]
 
-    losses = fit(params, batch_fn, n, config, rng, "meta training")
-    counts = {"consumed": n * len(losses), "skipped_samples": dropped * len(losses)}
-    if counts["skipped_samples"]:
+    record = fit(params, batch_fn, n, config, rng, "meta training", skipped=dropped)
+    if dropped and record.losses:
         logger.warning("meta training skipped %d samples of users with no source interactions",
-                       counts["skipped_samples"])
-    return {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-            "epochs": len(losses), **counts}
+                       dropped * len(record.losses))
+    return record
 
 
 def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
@@ -321,12 +316,12 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
 
     ``src_users`` and ``tgt_users`` are aligned index arrays for the same
     overlap users in their respective domains. One supervision example per
-    user (their target representation), not per rating.
+    user (their target representation), not per rating. Returns the TrainRecord
+    of ``nn.fit``; users with no source sequence are dropped and count as skipped.
     """
     src_users = np.asarray(src_users)
     tgt_users = np.asarray(tgt_users)
     usable = _with_source(ctx, src_users)
-    skipped = int((~usable).sum())
     src_users, tgt_users = src_users[usable], tgt_users[usable]
     n = len(src_users)
     if n == 0:
@@ -340,9 +335,8 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
         return mapping_oriented_loss((enc, meta), ctx.user_reprs[rows],
                                      ctx.tgt_user_reprs[tgt_users[take]], seq_embs)
 
-    losses = fit(params, batch_fn, n, config, rng, "meta mapping training")
-    return {"loss": losses, "examples_per_epoch": n, "distinct_examples": n,
-            "epochs": len(losses), "skipped_users": skipped}
+    return fit(params, batch_fn, n, config, rng, "meta mapping training",
+               skipped=int((~usable).sum()))
 
 
 def transform_users(enc: CharacteristicEncoder, meta: MetaNetwork,

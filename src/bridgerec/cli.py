@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -59,13 +60,16 @@ class ConfigError(ValueError):
 
 def _fits(value, annotation: str) -> bool:
     """Whether a json value fits an annotation such as "int | None" or "list[float]".
-    A bool fits only "bool"; an int fits "int" and "float", a float only "float"."""
+    A bool fits only "bool"; an int fits "int" and "float", a finite float only
+    "float", and NaN or Infinity nothing."""
     kinds = annotation.split(" | ")
     if value is None or isinstance(value, bool):
         return ("None" if value is None else "bool") in kinds
     if isinstance(value, list):
         return any(k.startswith("list[") and all(_fits(v, k[5:-1]) for v in value)
                    for k in kinds)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k in _JSON_TYPES)
 
 
@@ -149,17 +153,14 @@ def _write_report_files(rows, out_dir: Path) -> None:
     write_suite_json(rows, out_dir / "report.json")
 
 
-def _write_traces(cold, warm, out_dir: Path) -> None:
-    traces = {name: trace["loss"] if isinstance(trace, dict) else trace
-              for name, trace in cold.artifacts.items() if name.endswith("_trace")}
-    traces["finetune_trace"] = warm.trace
-    for name, losses in traces.items():
-        if not losses:
+def _write_traces(traces: dict, out_dir: Path) -> None:
+    for name, record in traces.items():
+        if not record.losses:
             continue
-        with open(out_dir / f"{name}.csv", "w", newline="") as f:
+        with open(out_dir / f"{name}_trace.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["epoch", "loss"])
-            for epoch, loss in enumerate(losses):
+            for epoch, loss in enumerate(record.losses):
                 writer.writerow([epoch, f"{loss:.8f}"])
 
 
@@ -228,6 +229,8 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
 def cmd_prepare(args) -> int:
     if not 0.0 < args.beta < 1.0:
         raise ConfigError(f"--beta must be in (0, 1), got {args.beta}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     src = load_domain(args.src, args.format)
     tgt = load_domain(args.tgt, args.format)
     split = make_split(src, tgt, args.beta, args.seed)
@@ -254,7 +257,7 @@ def cmd_run(args) -> int:
     rows = [{**_report_row(plan, report, t, record_runtime), "counters": report.counters}
             for report, t in ((cold.report, t_cold), (warm, t_warm))]
     _write_report_files(rows, out)
-    _write_traces(cold, warm, out)
+    _write_traces({**cold.report.traces, **warm.traces}, out)
     if cfg.get("save_checkpoints"):
         _save_checkpoints(cold, out / "checkpoints")
     print(f"cold mae={cold.report.mae:.4f} warm mae={warm.mae:.4f} -> {out}",

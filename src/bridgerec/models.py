@@ -181,8 +181,8 @@ def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
              config: TrainConfig | None = None, seed: int = 0, activation: str = "relu"):
     """Fit a DomainModel to a rating log by mini-batch Adam on squared error.
 
-    Returns (model, trace) where trace is the per-epoch mean training loss.
-    Same seed and data reproduce the model bit for bit.
+    Returns (model, the TrainRecord of ``nn.fit``). Same seed and data
+    reproduce the model bit for bit.
     """
     if dataset.n_ratings == 0:
         raise ValueError("cannot pretrain on an empty dataset")
@@ -195,11 +195,11 @@ def pretrain(dataset: DomainDataset, k: int, head: str = "mf",
         return loss_and_grads(model, dataset.user_idx[batch], dataset.item_idx[batch],
                               dataset.rating[batch])
 
-    trace = fit(params, batch_fn, dataset.n_ratings, config, rng, "pretrain")
-    if trace:
+    record = fit(params, batch_fn, dataset.n_ratings, config, rng, "pretrain")
+    if record.losses:
         logger.info("pretrained %s head on %d ratings: loss %.4f -> %.4f",
-                    head, dataset.n_ratings, trace[0], trace[-1])
-    return model, trace
+                    head, dataset.n_ratings, record.losses[0], record.losses[-1])
+    return model, record
 
 
 @dataclass
@@ -219,7 +219,7 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
 
     Users are keyed by external id (source order first, then target-only
     users); items stay per-domain. Scoring is plain dot product. Returns
-    (CmfModel, trace).
+    (CmfModel, TrainRecord).
     """
     config = config or TrainConfig()
     if src.n_ratings + tgt.n_ratings == 0:
@@ -252,8 +252,7 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
                       "src_items": table_grad(src_items, i[~t], dV[~t]),
                       "tgt_items": table_grad(tgt_items, i[t], dV[t])}
 
-    trace = fit(params, batch_fn, len(pool_r), config, rng, "cmf")
-    return model, trace
+    return model, fit(params, batch_fn, len(pool_r), config, rng, "cmf")
 
 
 def save_model(prefix, model: DomainModel) -> None:

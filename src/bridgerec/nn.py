@@ -7,6 +7,8 @@ against central differences by ``grad_check``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
@@ -153,9 +155,19 @@ class Adam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+@dataclass
+class TrainRecord:
+    """What one ``fit`` run did: the mean batch loss of each epoch, the examples
+    drawn per epoch and ``skipped``, the examples per epoch the caller dropped."""
+
+    losses: list[float]
+    examples: int
+    skipped: int = 0
+
+
 def fit(params: dict[str, np.ndarray], batch_fn, n: int, config,
-        rng: np.random.Generator, what: str) -> list[float]:
-    """Mini-batch Adam over ``n`` examples; returns the mean batch loss per epoch.
+        rng: np.random.Generator, what: str, skipped: int = 0) -> TrainRecord:
+    """Mini-batch Adam over ``n`` examples; returns their TrainRecord.
 
     Each epoch draws one permutation of range(n) from ``rng`` and hands it to
     ``batch_fn(rows) -> (loss, grads)`` in slices of ``config.batch_size``.
@@ -186,7 +198,7 @@ def fit(params: dict[str, np.ndarray], batch_fn, n: int, config,
                 stale += 1
                 if stale > config.patience:
                     break
-    return trace
+    return TrainRecord(trace, n, skipped)
 
 
 def grad_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:

@@ -85,8 +85,8 @@ class SyntheticSpec:
             raise ValueError("ratings_per_user exceeds the item count")
         if self.ratings_per_user < 1 or self.k_true < 1 or self.n_clusters < 1:
             raise ValueError("ratings_per_user, k_true and n_clusters must be >= 1")
-        if self.noise_sd < 0 or self.selection_sharpness < 0:
-            raise ValueError("noise_sd and selection_sharpness must be >= 0")
+        if not (0 <= self.noise_sd < np.inf and 0 <= self.selection_sharpness < np.inf):
+            raise ValueError("noise_sd and selection_sharpness must be finite and >= 0")
 
 
 @dataclass
@@ -125,6 +125,8 @@ class ExperimentPlan:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_seq_len is not None and self.max_seq_len < 1:
             raise ValueError(f"max_seq_len must be None or >= 1, got {self.max_seq_len}")
         if self.activation not in ACTIVATIONS:
@@ -157,16 +159,12 @@ def _stage_seeds(seed: int) -> dict[str, int]:
 class PlantedTruth:
     """Ground-truth factors and bridges behind a synthetic world."""
 
-    k: int
-    bridge_family: str
     src_user_factors: np.ndarray
     tgt_user_factors: np.ndarray
     src_item_factors: np.ndarray
     tgt_item_factors: np.ndarray
     overlap_ids: list[str]
     shared_bridge: np.ndarray | None = None
-    cluster_diags: np.ndarray | None = None
-    user_clusters: dict[str, int] = field(default_factory=dict)
 
 
 def _pick_items(rng, factors, user_vec, count, sharpness):
@@ -263,15 +261,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
         return item_factors["si" if side == "src" else "ti"][idx]
 
     truth = PlantedTruth(
-        k=k, bridge_family=spec.bridge_family,
         src_user_factors=aligned(src, "users", "src"),
         tgt_user_factors=aligned(tgt, "users", "tgt"),
         src_item_factors=aligned(src, "items", "src"),
         tgt_item_factors=aligned(tgt, "items", "tgt"),
         overlap_ids=overlap_ids,
         shared_bridge=shared,
-        cluster_diags=diags,
-        user_clusters={e: users[e][0] for e in users},
     )
     return src, tgt, truth
 
@@ -298,8 +293,8 @@ class MetricsReport:
     rmse: float
     n_eval: int
     counters: dict = field(default_factory=dict)
-    # warm stage only: fine-tune loss per epoch; kept out of report rows
-    trace: list[float] = field(default_factory=list)
+    # the TrainRecord of each stage this report trained, by stage name; kept out of report rows
+    traces: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +326,28 @@ def _resolve_data(plan: ExperimentPlan, data_seed: int):
 
 
 def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_user,
-              scoring: np.ndarray, E: np.ndarray, counters: dict, trace=()) -> MetricsReport:
+              scoring: np.ndarray, E: np.ndarray, counters: dict, traces: dict) -> MetricsReport:
     """Score the target rows of user i against E[i], clipped to the rating range."""
     preds = [np.clip(scoring[tgt.item_idx[rows]] @ e, RATING_MIN, RATING_MAX)
              for rows, e in zip(rows_per_user, E)]
     rows = np.concatenate(rows_per_user)
     mae, rmse = compute_metrics(tgt.rating[rows], np.concatenate(preds))
     report = MetricsReport(stage=stage, mae=mae, rmse=rmse, n_eval=len(rows),
-                           counters=counters, trace=list(trace))
+                           counters=counters, traces=traces)
     logger.info("%s %s beta=%.2f seed=%d: mae=%.4f rmse=%.4f (n=%d)",
                 stage, plan.method, plan.beta, plan.seed, mae, rmse, report.n_eval)
     return report
 
 
 def _pretrained(shared: dict, side: str, data: DomainDataset, plan: ExperimentPlan,
-                seed: int):
-    """The plan's ``side`` model and its trace: from ``shared``, else pre-trained into it."""
+                seed: int, traces: dict):
+    """The ``side`` model from ``shared``, else pre-trained into it; its record into ``traces``."""
     if f"{side}_model" not in shared:
         shared[f"{side}_model"], shared[f"{side}_trace"] = pretrain(
             data, plan.k, plan.base_model, plan.pretrain, seed, plan.activation)
-    return shared[f"{side}_model"], shared.get(f"{side}_trace", [])
+    if f"{side}_trace" in shared:
+        traces[side] = shared[f"{side}_trace"]
+    return shared[f"{side}_model"]
 
 
 def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
@@ -362,9 +359,9 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
 
     ``pretrained`` holds what plans that differ only in ``method`` share: the
     domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
-    "src_model" (with "tgt_trace" and "src_trace"; a model without one, such
-    as a loaded checkpoint, gets an empty trace). run_cold reuses what the
-    dict holds and adds what it builds; it never modifies an entry.
+    "src_model" (with their TrainRecords "tgt_trace" and "src_trace", which a
+    loaded checkpoint lacks). run_cold reuses what the dict holds and adds what
+    it builds; it never modifies an entry.
     """
     seeds = _stage_seeds(plan.seed)
     shared = {} if pretrained is None else pretrained
@@ -379,19 +376,16 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
 
     artifacts: dict = {}
-    # every test user is an overlap user, so none lacks a source sequence
-    counters = {"test_users_missing_source": 0, "unseen_item_predictions": 0,
-                "skipped_meta_samples": 0}
+    traces: dict = {}
+    counters = {"unseen_item_predictions": 0, "skipped_meta_samples": 0}
 
     if plan.method == "cmf":
-        cmf, trace = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
-        artifacts["cmf_trace"] = trace
+        cmf, traces["cmf"] = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
         scoring = cmf.tgt_items
         init = cmf.users[[cmf.user_map.index(u) for u in split.test_users]]
     else:
-        tgt_model, tgt_trace = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"])
+        tgt_model = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"], traces)
         artifacts["tgt_model"] = tgt_model
-        artifacts["tgt_trace"] = tgt_trace
         scoring = item_scoring_vectors(tgt_model)
 
         if plan.method == "tgt":
@@ -399,9 +393,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
             init = np.array([user_representation(tgt_model, tgt.users.index(u))
                              for u in split.test_users])
         else:
-            src_model, src_trace = _pretrained(shared, "src", src, plan, seeds["src"])
+            src_model = _pretrained(shared, "src", src, plan, seeds["src"], traces)
             artifacts["src_model"] = src_model
-            artifacts["src_trace"] = src_trace
             ctx = build_context(src_model, tgt_model, build_sequences(src))
             artifacts["ctx"] = ctx
             train_src = np.array([src.users.index(u) for u in split.train_overlap_users],
@@ -411,11 +404,10 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
             test_src = [src.users.index(u) for u in split.test_users]
 
             if plan.method == "emcdr":
-                W, trace = train_common_bridge(ctx.user_reprs[train_src],
-                                               ctx.tgt_user_reprs[train_tgt],
-                                               plan.bridge, seed=seeds["bridge"])
+                W, traces["bridge"] = train_common_bridge(ctx.user_reprs[train_src],
+                                                          ctx.tgt_user_reprs[train_tgt],
+                                                          plan.bridge, seed=seeds["bridge"])
                 artifacts["common_bridge"] = W
-                artifacts["bridge_trace"] = trace
                 # stacked matrix-vector products: row i is exactly W @ s_i
                 init = (W @ ctx.user_reprs[test_src, :, None])[..., 0]
             else:
@@ -431,23 +423,22 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                     pos = position[tgt_train.user_idx]
                     rows = np.argsort(pos, kind="stable")
                     rows = rows[pos[rows] < len(train_tgt)]
-                    trace = train_meta(enc, meta, ctx, train_src[pos[rows]],
-                                       tgt_train.item_idx[rows], tgt_train.rating[rows],
-                                       plan.bridge, seed=seeds["bridge"])
-                    counters["skipped_meta_samples"] = trace["skipped_samples"]
+                    record = traces["bridge"] = train_meta(
+                        enc, meta, ctx, train_src[pos[rows]], tgt_train.item_idx[rows],
+                        tgt_train.rating[rows], plan.bridge, seed=seeds["bridge"])
+                    counters["skipped_meta_samples"] = record.skipped * len(record.losses)
                 else:  # ptupcdr_mapping_ablation
-                    trace = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
-                                               plan.bridge, seed=seeds["bridge"])
+                    traces["bridge"] = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
+                                                          plan.bridge, seed=seeds["bridge"])
                 artifacts["enc"] = enc
                 artifacts["meta"] = meta
-                artifacts["bridge_trace"] = trace
                 init = transform_users(enc, meta, ctx, test_src)
 
     cold_rows = [split.cold[u] for u in split.test_users]
     trained_items = np.unique(tgt_train.item_idx)
     counters["unseen_item_predictions"] = int(np.sum(
         ~np.isin(tgt.item_idx[np.concatenate(cold_rows)], trained_items)))
-    report = _evaluate(plan, "cold", tgt, cold_rows, scoring, init, counters)
+    report = _evaluate(plan, "cold", tgt, cold_rows, scoring, init, counters, traces)
     return ColdRun(plan=plan, report=report, src=src, tgt=tgt, split=split,
                    scoring=scoring, init=init, artifacts=artifacts)
 
@@ -461,7 +452,8 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
     Fine-tuning is joint mini-batch Adam over all test users' cold ratings;
     item vectors stay frozen unless ``plan.finetune_items`` is set. With zero
     fine-tune epochs the warm-set predictions equal the cold-stage ones. The
-    returned report carries the fine-tune loss trace; ``cold`` is left as it was.
+    returned report's ``traces`` holds the "finetune" TrainRecord; ``cold`` is
+    left as it was.
     """
     if cold is None:
         cold = run_cold(plan)
@@ -486,11 +478,11 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
             grads["Q"] = table_grad(Q, ii, dQ)
         return loss, grads
 
-    trace = fit(params, batch_fn, len(pool_r), plan.finetune,
-                np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),
-                "warm fine-tuning")
+    traces = {"finetune": fit(params, batch_fn, len(pool_r), plan.finetune,
+                              np.random.default_rng(_stage_seeds(plan.seed)["finetune"]),
+                              "warm fine-tuning")}
     return _evaluate(plan, "warm", cold.tgt, [split.warm[u] for u in split.test_users],
-                     Q, E, {"users_empty_warm": len(split.users_without_warm)}, trace)
+                     Q, E, {"users_empty_warm": len(split.users_without_warm)}, traces)
 
 
 def run_plan(plan: ExperimentPlan, pretrained: dict | None = None):

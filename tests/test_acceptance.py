@@ -180,15 +180,18 @@ def test_criterion_6_sample_count_accounting():
     cold = run_cold(plan)
     n_train = len(cold.split.train_overlap_users)
     m = PERSONALIZED.ratings_per_user
-    trace = cold.artifacts["bridge_trace"]
-    assert trace["distinct_examples"] == m * n_train
-    assert trace["examples_per_epoch"] == m * n_train
-    assert trace["consumed"] == m * n_train * trace["epochs"]
+    train_users = [cold.tgt.users.index(u) for u in cold.split.train_overlap_users]
+    train_rows = cold.tgt.user_idx[cold.split.target_train_indices]
+    distinct = int(np.isin(train_rows, train_users).sum())
+    assert distinct == m * n_train
+    record = cold.report.traces["bridge"]
+    assert record.examples == distinct  # each distinct example drawn once per epoch
+    assert record.examples * len(record.losses) == m * n_train * plan.bridge.epochs  # consumed
 
     ablation = run_cold(_plan(PERSONALIZED, "ptupcdr_mapping_ablation", seed=1))
-    map_trace = ablation.artifacts["bridge_trace"]
-    assert map_trace["distinct_examples"] == n_train
-    assert map_trace["examples_per_epoch"] == n_train
+    map_record = ablation.report.traces["bridge"]
+    assert map_record.examples == n_train
+    assert map_record.examples * len(map_record.losses) == n_train * ablation.plan.bridge.epochs
     print(f"\n  task-oriented examples: {m * n_train}, mapping-oriented: {n_train}")
     _verdict(6, "sample-count accounting")
 

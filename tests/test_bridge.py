@@ -296,11 +296,11 @@ def test_common_bridge_recovers_planted_map():
     A = rng.normal(size=(k, k))
     U = rng.normal(size=(n, k))
     T = U @ A.T
-    W, trace = train_common_bridge(U, T, TrainConfig(lr=0.01, epochs=3000), seed=0)
+    W, record = train_common_bridge(U, T, TrainConfig(lr=0.01, epochs=3000), seed=0)
     lstsq = np.linalg.lstsq(U, T, rcond=None)[0].T  # closed-form oracle
     np.testing.assert_allclose(lstsq, A, atol=1e-10)
     assert np.linalg.norm(W - A) < 1e-3
-    assert trace["distinct_examples"] == n
+    assert record.examples == n
 
 
 def test_common_bridge_requires_supervision():
@@ -313,8 +313,8 @@ def test_common_bridge_single_user_reaches_zero_loss():
     rng = np.random.default_rng(41)
     u = rng.normal(size=(1, 2))
     t = rng.normal(size=(1, 2))
-    W, trace = train_common_bridge(u, t, TrainConfig(lr=0.02, epochs=2000), seed=0)
-    assert trace["loss"][-1] < 1e-10
+    W, record = train_common_bridge(u, t, TrainConfig(lr=0.02, epochs=2000), seed=0)
+    assert record.losses[-1] < 1e-10
     np.testing.assert_allclose(W @ u[0], t[0], atol=1e-5)
 
 
@@ -336,21 +336,21 @@ def test_train_meta_is_deterministic_and_counts_samples():
     for _ in range(2):
         enc = CharacteristicEncoder(k, rng=np.random.default_rng(1))
         meta = MetaNetwork(k, rng=np.random.default_rng(2))
-        trace = train_meta(enc, meta, ctx, su, it, r,
-                           TrainConfig(lr=0.01, epochs=3), seed=5)
-        results.append((enc.net.W1.copy(), meta.net.W2.copy(), trace))
+        record = train_meta(enc, meta, ctx, su, it, r,
+                            TrainConfig(lr=0.01, epochs=3), seed=5)
+        results.append((enc.net.W1.copy(), meta.net.W2.copy(), record))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
 
-    trace = results[0][2]
-    assert trace["examples_per_epoch"] == n_users * ratings_per_user  # 50
+    record = results[0][2]
+    assert record.examples == n_users * ratings_per_user  # 50
     # the ablation objective sees one example per user instead
     enc = CharacteristicEncoder(k, rng=np.random.default_rng(1))
     meta = MetaNetwork(k, rng=np.random.default_rng(2))
-    map_trace = train_meta_mapping(enc, meta, ctx, np.arange(n_users),
-                                   np.arange(n_users),
-                                   TrainConfig(lr=0.01, epochs=3), seed=5)
-    assert map_trace["examples_per_epoch"] == n_users  # 10
+    map_record = train_meta_mapping(enc, meta, ctx, np.arange(n_users),
+                                    np.arange(n_users),
+                                    TrainConfig(lr=0.01, epochs=3), seed=5)
+    assert map_record.examples == n_users  # 10
 
 
 def test_train_meta_warns_once_about_skipped_samples(caplog):
@@ -358,10 +358,11 @@ def test_train_meta_warns_once_about_skipped_samples(caplog):
     ctx.sequences.pop(1)
     su = np.array([0, 1, 2, 1, 0, 2, 1, 2])
     it = np.arange(len(su)) % 6
-    trace = train_meta(_enc(k=3), _meta(k=3), ctx, su, it, np.full(len(su), 2.0),
-                       TrainConfig(lr=0.01, epochs=3, batch_size=len(su)), seed=0)
-    assert trace["skipped_samples"] == 3 * 3
-    assert trace["consumed"] + trace["skipped_samples"] == 3 * len(su)
+    record = train_meta(_enc(k=3), _meta(k=3), ctx, su, it, np.full(len(su), 2.0),
+                        TrainConfig(lr=0.01, epochs=3, batch_size=len(su)), seed=0)
+    epochs = len(record.losses)
+    assert record.skipped * epochs == 3 * 3
+    assert record.examples * epochs + record.skipped * epochs == 3 * len(su)
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert "9 samples" in warnings[0].getMessage()
@@ -374,11 +375,11 @@ def test_train_meta_survives_batches_without_source_history(seed):
     ctx = _ctx(k=3)
     ctx.sequences.pop(1)
     su = np.array([0, 1, 1, 2, 1, 1])
-    trace = train_meta(_enc(k=3), _meta(k=3), ctx, su, np.arange(len(su)), np.full(len(su), 2.0),
-                       TrainConfig(lr=0.01, epochs=3, batch_size=2), seed=seed)
-    assert trace["epochs"] == 3
-    assert trace["skipped_samples"] == 4 * 3
-    assert trace["consumed"] == 2 * 3
+    record = train_meta(_enc(k=3), _meta(k=3), ctx, su, np.arange(len(su)), np.full(len(su), 2.0),
+                        TrainConfig(lr=0.01, epochs=3, batch_size=2), seed=seed)
+    assert len(record.losses) == 3
+    assert record.skipped * len(record.losses) == 4 * 3
+    assert record.examples * len(record.losses) == 2 * 3
 
 
 def test_train_meta_rejects_empty_supervision():

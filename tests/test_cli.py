@@ -611,7 +611,10 @@ def test_negative_or_non_finite_lr_is_rejected(tmp_path, capsys, monkeypatch, lr
     # json writes nan and inf as NaN and Infinity, which json.loads reads back
     cfg = _run_config(tmp_path, allow_off_grid_lr=True, bridge={"lr": lr, "epochs": 2})
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: lr must be finite and >= 0")
+    # the config check rejects a non-finite value before TrainConfig sees it
+    message = ("lr must be finite and >= 0" if math.isfinite(lr)
+               else f"bridge key 'lr' must be float, got {lr!r}")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 
@@ -625,4 +628,56 @@ def test_an_empty_sweep_list_is_rejected(tmp_path, capsys, monkeypatch, key):
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: []}))
     assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be None or a non-empty list")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where, key", [("run config", "beta"), ("pretrain", "lr"),
+                                        ("bridge", "lr"), ("finetune", "lr"),
+                                        ("task", "noise_sd"), ("task", "selection_sharpness")],
+                         ids=["beta", "pretrain-lr", "bridge-lr", "finetune-lr", "noise_sd",
+                              "selection_sharpness"])
+def test_non_finite_float_values_are_rejected(tmp_path, capsys, monkeypatch, where, key, value):
+    _no_training(monkeypatch)
+    if where == "run config":
+        overrides = {key: value}
+    elif where == "task":
+        overrides = {"task": {**SMOKE_TASK, key: value}}
+    else:
+        overrides = {where: {"lr": value, "epochs": 2}}
+    # json writes nan and inf as NaN and Infinity, which json.loads reads back
+    cfg = _run_config(tmp_path, allow_off_grid_lr=True, **overrides)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} key {key!r} must be float, got {value!r}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["run-config", "run-flag", "suite-config", "suite-flag",
+                                  "prepare-flag"])
+def test_a_negative_seed_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
+                                                      pair_csvs, case):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentPlan(task=SyntheticTask(SyntheticSpec()), method="tgt", seed=-1)
+    _no_training(monkeypatch)
+
+    def no_loading(*args, **kwargs):
+        raise PlanRan
+
+    monkeypatch.setattr("bridgerec.cli.load_domain", no_loading)
+    command, where = case.split("-")
+    if command == "run":
+        cfg = _run_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+    elif command == "suite":
+        cfg = _suite_config(tmp_path, ["tgt", "emcdr"])
+        if where == "config":
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seeds": [0, -1]}))
+    argv = ([command, *map(str, pair_csvs), "--beta", "0.4"] if command == "prepare"
+            else [command, str(cfg)])
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
     assert not (tmp_path / "out").exists()

@@ -139,7 +139,8 @@ def test_dot_mse_table_gradients_pass_grad_check():
 
 def test_pretrain_recovers_planted_rank3(planted_rank3):
     ds, _, _ = planted_rank3
-    model, trace = pretrain(ds, k=3, config=TrainConfig(lr=0.02, epochs=600), seed=0)
+    model, record = pretrain(ds, k=3, config=TrainConfig(lr=0.02, epochs=600), seed=0)
+    trace = record.losses
     pred = predict_batch(model, ds.user_idx, ds.item_idx)
     rmse = float(np.sqrt(np.mean((pred - ds.rating) ** 2)))
     assert rmse < 0.05
@@ -177,9 +178,9 @@ def test_pretrain_other_heads_learn(head):
     V = rng.uniform(0.2, 1.0, (15, 3))
     ds = make_dataset((f"u{a}", f"i{b}", float(U[a] @ V[b]), a * 15 + b)
                       for a in range(15) for b in range(15))
-    model, trace = pretrain(ds, k=3, head=head,
-                            config=TrainConfig(lr=0.02, epochs=400), seed=1)
-    assert trace[-1] < 0.05 * trace[0]
+    model, record = pretrain(ds, k=3, head=head,
+                             config=TrainConfig(lr=0.02, epochs=400), seed=1)
+    assert record.losses[-1] < 0.05 * record.losses[0]
 
 
 def test_model_checkpoint_round_trip(tmp_path):
@@ -251,9 +252,9 @@ def test_cmf_empty_source_degenerates_to_target_only():
     V = rng.uniform(0.2, 1.0, (10, 2))
     tgt = make_dataset((f"u{a}", f"g{b}", float(U[a] @ V[b]), a * 10 + b)
                        for a in range(10) for b in range(10))
-    model, trace = cmf_train(src, tgt, k=2, config=TrainConfig(lr=0.02, epochs=300), seed=0)
+    model, record = cmf_train(src, tgt, k=2, config=TrainConfig(lr=0.02, epochs=300), seed=0)
     assert len(model.user_map) == tgt.n_users
-    assert trace[-1] < 0.05 * trace[0]  # plain target-domain factorization
+    assert record.losses[-1] < 0.05 * record.losses[0]  # plain target-domain factorization
 
 
 def test_cmf_rejects_two_empty_domains():

@@ -204,14 +204,15 @@ def test_fit_batches_one_permutation_per_epoch_and_traces_mean_loss():
         seen.append(rows.copy())
         return float(len(rows)), {}
 
-    trace = fit({}, batch_fn, 7, TrainConfig(epochs=2, batch_size=3),
-                np.random.default_rng(4), "toy")
+    record = fit({}, batch_fn, 7, TrainConfig(epochs=2, batch_size=3),
+                 np.random.default_rng(4), "toy")
     ref = np.random.default_rng(4)
     expected = [ref.permutation(7) for _ in range(2)]
     np.testing.assert_array_equal(np.concatenate(seen[:3]), expected[0])
     np.testing.assert_array_equal(np.concatenate(seen[3:]), expected[1])
     assert [len(b) for b in seen] == [3, 3, 1, 3, 3, 1]
-    assert trace == [7.0 / 3.0, 7.0 / 3.0]
+    assert record.losses == [7.0 / 3.0, 7.0 / 3.0]
+    assert (record.examples, record.skipped) == (7, 0)
 
 
 def test_fit_raises_on_non_finite_loss():

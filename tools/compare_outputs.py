@@ -6,7 +6,11 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``bridgerec`` package
 (a checkout's ``src/``). Each tree runs the same fixed matrix of seeded
 configs through ``python -m bridgerec.cli run`` (with ``save_checkpoints``)
 and then ``export``, with BLAS pinned to one thread, writing into
-OUT_DIR/parent/<config> and OUT_DIR/change/<config>. Two configs read rating
+OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The emcdr, ptupcdr and
+ptupcdr_mapping_ablation mf configs run a second time as <config>-meta_only,
+with ``stage: meta_only`` reading the checkpoints their first run saved; every
+command runs in OUT_DIR/<side>, so that checkpoint path is relative and the
+config files match across trees. Two configs read rating
 logs (csv + csv and csv + json-lines) that the script writes once into
 OUT_DIR/logs from a fixed world, and each tree also runs ``prepare`` on them
 into OUT_DIR/<side>/prepare. On the csv + json-lines logs each tree also runs
@@ -42,6 +46,7 @@ BASE = {"task": TASK, "k": 4, "beta": 0.2, "seed": 3, "save_checkpoints": True,
         "bridge": {"lr": 0.01, "epochs": 10},
         "finetune": {"lr": 0.01, "epochs": 20}}
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
+META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf")
 
 
 def write_logs(log_dir: Path) -> None:
@@ -84,7 +89,11 @@ def matrix(log_dir: Path) -> dict[str, dict]:
         task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
                 "tgt_path": str(log_dir / tgt_log)}
         configs[f"{method}-files-{tgt_log.split('.')[1]}"] = {"method": method, "task": task}
-    return {name: {**BASE, **overrides} for name, overrides in configs.items()}
+    configs = {name: {**BASE, **overrides} for name, overrides in configs.items()}
+    for name in META_ONLY:  # after their source run, so its checkpoints exist
+        configs[f"{name}-meta_only"] = {**configs[name], "stage": "meta_only",
+                                        "checkpoint_dir": f"{name}/checkpoints"}
+    return configs
 
 
 def suite_config(log_dir: Path) -> dict:
@@ -119,7 +128,7 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
     failed = []
     for args, run_dir in jobs:
         cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=out)
         if proc.returncode != 0:
             failed.append(f"{src}: {' '.join(args)} exited {proc.returncode}: "
                           f"{proc.stderr.strip()}")
@@ -153,7 +162,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    parent_src, change_src, out_dir = (Path(a) for a in argv)
+    parent_src, change_src, out_dir = (Path(a).resolve() for a in argv)
     sides = {"parent": (parent_src, out_dir / "parent"), "change": (change_src, out_dir / "change")}
     log_dir = out_dir / "logs"
     for src, out in sides.values():
