@@ -279,8 +279,10 @@ def cmd_suite(args) -> int:
     parallelism = args.parallel if args.parallel is not None else cfg.get("parallelism", 1)
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    out = _out_dir(args.out_dir, cfg.get("out_dir"))
     export = args.export_attention or cfg.get("export_attention")
+    if export and not any(p.method in BRIDGE_NET_METHODS for p in plans):
+        raise ConfigError("attention export needs a ptupcdr-family method in the sweep")
+    out = _out_dir(args.out_dir, cfg.get("out_dir"))
     rows = run_suite(plans, parallelism=parallelism,
                      record_runtime=cfg.get("record_runtime", False),
                      attention_dir=out if export else None)

@@ -117,6 +117,8 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
     item = str(item)
     if not user or not item:
         raise MalformedRowError(f"line {line_no}: empty user or item id")
+    if isinstance(rating, bool) or isinstance(timestamp, bool):
+        raise MalformedRowError(f"line {line_no}: boolean rating or timestamp")
     try:
         r = float(rating)
         ts = int(timestamp)
@@ -241,6 +243,13 @@ def overlap_users(src: DomainDataset, tgt: DomainDataset) -> set[str]:
     return set(src.users.forward) & set(tgt.users.forward)
 
 
+def check_disjoint_items(src: DomainDataset, tgt: DomainDataset) -> None:
+    """Raise ValueError if the two domains share an item id."""
+    shared_items = set(src.items.forward) & set(tgt.items.forward)
+    if shared_items:
+        raise ValueError(f"domains share {len(shared_items)} item ids; item spaces must be disjoint")
+
+
 @dataclass
 class SplitPlan:
     """Cold/warm evaluation split over the overlapping users.
@@ -301,9 +310,7 @@ def make_split(src: DomainDataset, tgt: DomainDataset, beta: float, seed: int) -
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    shared_items = set(src.items.forward) & set(tgt.items.forward)
-    if shared_items:
-        raise ValueError(f"domains share {len(shared_items)} item ids; item spaces must be disjoint")
+    check_disjoint_items(src, tgt)
     overlap = sorted(overlap_users(src, tgt))
     if len(overlap) < 2:
         raise ValueError(f"need at least 2 overlapping users, found {len(overlap)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .data import DomainDataset, IdMap
+from .data import DomainDataset, IdMap, check_disjoint_items
 from .nn import TwoLayerNet, fit, prefix_params, table_grad, uniform_init
 
 logger = logging.getLogger(__name__)
@@ -215,44 +215,27 @@ class CmfModel:
 
 def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
               config: TrainConfig | None = None, seed: int = 0):
-    """Train one user table on the concatenated source+target rating pools.
+    """Pre-train one "mf" model on the joined source+target rating logs.
 
     Users are keyed by external id (source order first, then target-only
-    users); items stay per-domain. Scoring is plain dot product. Returns
-    (CmfModel, TrainRecord).
+    users); the item table holds the source items, then the target items, and
+    ``src_items``/``tgt_items`` are views of its two parts. Scoring is plain
+    dot product. Returns (CmfModel, TrainRecord).
     """
-    config = config or TrainConfig()
-    if src.n_ratings + tgt.n_ratings == 0:
-        raise ValueError("cannot train CMF with no ratings in either domain")
+    check_disjoint_items(src, tgt)
     # seeded from the source users, so source user i keeps index i
     user_map = IdMap.from_ids(src.users.backward)
-    tgt_to_shared = np.asarray([user_map.add(ext) for ext in tgt.users.backward],
-                               dtype=np.int64)
-    pool_u = np.concatenate([src.user_idx, tgt_to_shared[tgt.user_idx]])
-    pool_i = np.concatenate([src.item_idx, tgt.item_idx])
-    pool_r = np.concatenate([src.rating, tgt.rating])
-    in_tgt = np.concatenate([np.zeros(src.n_ratings, dtype=bool),
-                             np.ones(tgt.n_ratings, dtype=bool)])
-
-    rng = np.random.default_rng(seed)
-    users = uniform_init(rng, k, (len(user_map), k))
-    src_items = uniform_init(rng, k, (src.n_items, k))
-    tgt_items = uniform_init(rng, k, (tgt.n_items, k))
-    model = CmfModel(user_map=user_map, users=users, src_items=src_items,
-                     tgt_items=tgt_items, k=k)
-    params = {"users": users, "src_items": src_items, "tgt_items": tgt_items}
-
-    def batch_fn(batch):
-        u, i, t = pool_u[batch], pool_i[batch], in_tgt[batch]
-        V = np.empty((len(batch), k))
-        V[~t] = src_items[i[~t]]
-        V[t] = tgt_items[i[t]]
-        loss, dU, dV = dot_mse(users[u], V, pool_r[batch])
-        return loss, {"users": table_grad(users, u, dU),
-                      "src_items": table_grad(src_items, i[~t], dV[~t]),
-                      "tgt_items": table_grad(tgt_items, i[t], dV[t])}
-
-    return model, fit(params, batch_fn, len(pool_r), config, rng, "cmf")
+    tgt_to_shared = np.asarray([user_map.add(ext) for ext in tgt.users.backward], dtype=np.int64)
+    joined = DomainDataset(
+        users=user_map,
+        items=IdMap.from_ids(src.items.backward + tgt.items.backward),
+        user_idx=np.concatenate([src.user_idx, tgt_to_shared[tgt.user_idx]]),
+        item_idx=np.concatenate([src.item_idx, src.n_items + tgt.item_idx]),
+        rating=np.concatenate([src.rating, tgt.rating]),
+        timestamp=np.concatenate([src.timestamp, tgt.timestamp]))
+    model, record = pretrain(joined, k, "mf", config, seed)
+    return CmfModel(user_map=user_map, users=model.users, src_items=model.items[:src.n_items],
+                    tgt_items=model.items[src.n_items:], k=k), record
 
 
 def save_model(prefix, model: DomainModel) -> None:

@@ -119,7 +119,9 @@ class Adam:
 
     Moment shapes mirror the tracked parameters; ``t`` counts the steps taken.
     ``step`` takes gradients for any subset of the tracked parameters;
-    untracked names or mismatched shapes are an error.
+    untracked names or mismatched shapes are an error. Two scratch arrays per
+    parameter hold the step's temporaries, so a step allocates no array the
+    size of a parameter.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -132,6 +134,7 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.scratch = {name: (np.empty_like(p), np.empty_like(p)) for name, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         unknown = set(grads) - set(self.m)
@@ -148,11 +151,15 @@ class Adam:
                                  f"for {name!r}")
             m = self.m[name]
             v = self.v[name]
+            s, d = self.scratch[name]
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=s), out=s)
+            np.multiply(self.lr, np.divide(m, c1, out=s), out=s)
+            np.add(np.sqrt(np.divide(v, c2, out=d), out=d), self.eps, out=d)
+            p -= np.divide(s, d, out=s)
 
 
 @dataclass

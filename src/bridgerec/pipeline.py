@@ -79,6 +79,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.bridge_family not in BRIDGE_FAMILIES:
             raise ValueError(f"bridge_family must be one of {BRIDGE_FAMILIES}")
+        if self.n_overlap < 0:
+            raise ValueError(f"n_overlap must be >= 0, got {self.n_overlap}")
         if self.n_overlap > min(self.n_users_src, self.n_users_tgt):
             raise ValueError("n_overlap exceeds a domain's user count")
         if self.ratings_per_user > min(self.n_items_src, self.n_items_tgt):

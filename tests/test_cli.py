@@ -351,12 +351,12 @@ def test_stage_activation_names_the_plan_key(tmp_path, capsys, stage):
     assert not (tmp_path / "out").exists()
 
 
-def _suite_config(tmp_path, methods, **base):
+def _suite_config(tmp_path, methods, suite_keys=None, **base):
     suite = {"base": {"task": SMOKE_TASK, "method": "tgt", "k": 4, "beta": 0.2, **base,
                       "pretrain": {"lr": 0.01, "epochs": 3},
                       "bridge": {"lr": 0.01, "epochs": 3},
                       "finetune": {"lr": 0.01, "epochs": 3}},
-             "methods": methods}
+             "methods": methods, **(suite_keys or {})}
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
     return path
@@ -423,17 +423,22 @@ def test_wrong_typed_config_values_are_config_errors(tmp_path, capsys, monkeypat
     ("suite", {"save_checkpoints": True}, "unknown keys in suite base: ['save_checkpoints']"),
     ("suite", {"out_dir": "base_out"}, "unknown keys in suite base: ['out_dir']"),
     ("suite", {"record_runtime": True}, "unknown keys in suite base: ['record_runtime']"),
+    ("suite", {"suite_keys": {"export_attention": True}},
+     "attention export needs a ptupcdr-family method in the sweep"),
+    ("suite --export-attention", {},
+     "attention export needs a ptupcdr-family method in the sweep"),
 ], ids=["run-stage", "run-checkpoint_dir", "export-stage", "suite-stage",
         "suite-checkpoint_dir", "suite-save_checkpoints", "suite-out_dir",
-        "suite-record_runtime"])
+        "suite-record_runtime", "suite-export_attention", "suite-export-attention-flag"])
 def test_config_values_that_would_be_ignored_are_rejected(tmp_path, capsys, monkeypatch,
                                                           command, overrides, message):
     _no_training(monkeypatch)
+    command, *flags = command.split()
     if command == "suite":
         cfg = _suite_config(tmp_path, ["emcdr"], **overrides)
     else:
         cfg = _run_config(tmp_path, **overrides)
-    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main([command, str(cfg), *flags, "--out-dir", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -651,6 +656,21 @@ def test_non_finite_float_values_are_rejected(tmp_path, capsys, monkeypatch, whe
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where} key {key!r} must be float, got {value!r}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_a_negative_n_overlap_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
+                                                            command):
+    _no_training(monkeypatch)
+    task = {**SMOKE_TASK, "n_overlap": -2}
+    if command == "run":
+        cfg = _run_config(tmp_path, task=task)
+    else:
+        cfg = _suite_config(tmp_path, ["tgt"], task=task)
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_overlap must be >= 0, got -2" in err
     assert not (tmp_path / "out").exists()
 
 

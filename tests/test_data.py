@@ -103,6 +103,18 @@ def test_jsonl_value_out_of_float_range_is_malformed(tmp_path, field, value, err
         load_domain(path)
 
 
+@pytest.mark.parametrize("field", ["overall", "unixReviewTime"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_jsonl_boolean_rating_or_timestamp_is_malformed(tmp_path, field, value):
+    fields = {"reviewerID": '"A1"', "asin": '"B1"', "overall": "4.0", "unixReviewTime": "1",
+              field: value}
+    path = tmp_path / "bool.jsonl"
+    path.write_text('{"reviewerID": "A0", "asin": "B0", "overall": 3.0, "unixReviewTime": 1}\n'
+                    + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+    with pytest.raises(MalformedRowError, match="^line 2: boolean rating or timestamp$"):
+        load_domain(path)
+
+
 # ---------------------------------------------------------------------------
 # columnar loading against the per-row reference
 #
@@ -125,6 +137,8 @@ def _ref_parse_fields(user, item, rating, timestamp, line_no):
     item = str(item)
     if not user or not item:
         raise MalformedRowError(f"line {line_no}: empty user or item id")
+    if isinstance(rating, bool) or isinstance(timestamp, bool):
+        raise MalformedRowError(f"line {line_no}: boolean rating or timestamp")
     try:
         r = float(rating)
         ts = int(timestamp)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bridgerec.data import dataset_from_columns
+from bridgerec.data import IdMap, dataset_from_columns, filter_to_indices, make_split
 from bridgerec.models import (HEADS, DomainModel, TrainConfig, cmf_train, dot_mse,
                               item_scoring_vectors, load_model, loss_and_grads,
                               predict_batch, pretrain, save_model, score,
                               user_representation, user_representations)
-from bridgerec.nn import grad_check, table_grad
+from bridgerec.nn import fit, grad_check, table_grad, uniform_init
+from bridgerec.pipeline import SyntheticSpec, generate_synthetic
 from conftest import edit_checkpoint, make_dataset
 
 
@@ -260,3 +261,70 @@ def test_cmf_empty_source_degenerates_to_target_only():
 def test_cmf_rejects_two_empty_domains():
     with pytest.raises(ValueError):
         cmf_train(dataset_from_columns([], [], [], []), dataset_from_columns([], [], [], []), k=2)
+
+
+def test_cmf_rejects_an_item_id_both_domains_share():
+    src = make_dataset([("a", "s0", 4, 0), ("b", "x", 3, 1)])
+    tgt = make_dataset([("b", "x", 2, 0), ("c", "g1", 5, 1)])
+    with pytest.raises(ValueError, match="domains share 1 item ids"):
+        cmf_train(src, tgt, k=2)
+
+
+def _reference_cmf_train(src, tgt, k, config, seed):
+    """The per-domain CMF trainer cmf_train replaced: its own pools, three
+    tables and a batch function that splits each batch by domain."""
+    user_map = IdMap.from_ids(src.users.backward)
+    tgt_to_shared = np.asarray([user_map.add(ext) for ext in tgt.users.backward],
+                               dtype=np.int64)
+    pool_u = np.concatenate([src.user_idx, tgt_to_shared[tgt.user_idx]])
+    pool_i = np.concatenate([src.item_idx, tgt.item_idx])
+    pool_r = np.concatenate([src.rating, tgt.rating])
+    in_tgt = np.concatenate([np.zeros(src.n_ratings, dtype=bool),
+                             np.ones(tgt.n_ratings, dtype=bool)])
+    rng = np.random.default_rng(seed)
+    users = uniform_init(rng, k, (len(user_map), k))
+    src_items = uniform_init(rng, k, (src.n_items, k))
+    tgt_items = uniform_init(rng, k, (tgt.n_items, k))
+    params = {"users": users, "src_items": src_items, "tgt_items": tgt_items}
+
+    def batch_fn(batch):
+        u, i, t = pool_u[batch], pool_i[batch], in_tgt[batch]
+        V = np.empty((len(batch), k))
+        V[~t] = src_items[i[~t]]
+        V[t] = tgt_items[i[t]]
+        loss, dU, dV = dot_mse(users[u], V, pool_r[batch])
+        return loss, {"users": table_grad(users, u, dU),
+                      "src_items": table_grad(src_items, i[~t], dV[~t]),
+                      "tgt_items": table_grad(tgt_items, i[t], dV[t])}
+
+    record = fit(params, batch_fn, len(pool_r), config, rng, "cmf")
+    return user_map, users, src_items, tgt_items, record
+
+
+def _cmf_world():
+    """A source log and the training part of a target log, as run_cold passes them:
+    the target id maps still hold the test users and their items."""
+    spec = SyntheticSpec(n_users_src=60, n_users_tgt=50, n_overlap=30, n_items_src=25,
+                         n_items_tgt=20, k_true=3, ratings_per_user=6)
+    src, tgt, _ = generate_synthetic(spec, seed=2)
+    split = make_split(src, tgt, beta=0.3, seed=2)
+    return src, filter_to_indices(tgt, split.target_train_indices)
+
+
+@pytest.mark.parametrize("seed, batch_size, empty_source", [
+    (0, 64, False), (7, 64, False), (0, 37, False), (3, 16, True),
+], ids=["seed0", "seed7", "ragged-batch", "empty-source"])
+def test_cmf_train_matches_the_per_domain_trainer_bit_for_bit(seed, batch_size, empty_source):
+    src, tgt = _cmf_world()
+    if empty_source:
+        src = dataset_from_columns([], [], [], [])
+    if batch_size == 37:  # the last batch of every epoch is short
+        assert (src.n_ratings + tgt.n_ratings) % batch_size
+    config = TrainConfig(lr=0.02, epochs=4, batch_size=batch_size)
+    model, record = cmf_train(src, tgt, k=3, config=config, seed=seed)
+    user_map, users, src_items, tgt_items, want = _reference_cmf_train(src, tgt, 3, config, seed)
+    assert model.user_map.backward == user_map.backward
+    np.testing.assert_array_equal(model.users, users)
+    np.testing.assert_array_equal(model.src_items, src_items)
+    np.testing.assert_array_equal(model.tgt_items, tgt_items)
+    assert record == want

@@ -194,6 +194,29 @@ def test_adam_shape_mismatch_raises():
         opt.step({"nope": np.zeros(3)})
 
 
+def test_adam_matches_the_textbook_expression_bit_for_bit():
+    rng = np.random.default_rng(4)
+    start = {"table": rng.normal(size=(6800, 10)), "w": rng.normal(size=3)}
+    params = {name: p.copy() for name, p in start.items()}
+    opt = Adam(params, lr=0.01)
+    ref = {name: p.copy() for name, p in start.items()}
+    m = {name: np.zeros_like(p) for name, p in start.items()}
+    v = {name: np.zeros_like(p) for name, p in start.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 51):
+        names = ["table", "w"] if t % 3 else (["table"] if t % 2 else ["w"])
+        grads = {name: rng.normal(size=start[name].shape) for name in names}
+        opt.step(grads)
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * (g * g)
+            ref[name] = ref[name] - lr * (m[name] / (1 - b1 ** t)) / (
+                np.sqrt(v[name] / (1 - b2 ** t)) + eps)
+        for name in start:
+            np.testing.assert_array_equal(params[name], ref[name])
+    assert opt.t == 50
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

@@ -157,6 +157,8 @@ def test_synthetic_rejects_infeasible_specs():
         generate_synthetic(SyntheticSpec(noise_sd=-0.1), seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(bridge_family="cubic"), seed=0)
+    with pytest.raises(ValueError, match="n_overlap must be >= 0, got -2"):
+        generate_synthetic(SyntheticSpec(n_overlap=-2), seed=0)
 
 
 def test_zero_overlap_world_cannot_run():
