@@ -21,6 +21,8 @@ logger = logging.getLogger(__name__)
 RATING_MIN = 0.0
 RATING_MAX = 5.0
 
+FORMATS = ("csv", "jsonl", "json-lines", "json_lines")
+_ID_TYPES = (str, int, float)
 CSV_FIELDS = ("user", "item", "rating", "timestamp")
 # Amazon review export schema
 JSONL_FIELDS = {"user": "reviewerID", "item": "asin",
@@ -113,6 +115,10 @@ def dataset_from_columns(users, items, ratings, timestamps, rejected: int = 0) -
 def _parse_fields(user, item, rating, timestamp, line_no: int):
     if user is None or item is None or rating is None or timestamp is None:
         raise MalformedRowError(f"line {line_no}: missing field")
+    # a json-lines id may be a string or a number (a bool's type is not int); str() of
+    # anything else (true, ["x"]) would forge an id that can merge with a real one
+    if type(user) not in _ID_TYPES or type(item) not in _ID_TYPES:
+        raise MalformedRowError(f"line {line_no}: user or item id is not a string or a number")
     user = str(user)
     item = str(item)
     if not user or not item:
@@ -171,21 +177,21 @@ def _iter_jsonl(path: Path):
 def load_domain(path, fmt: str | None = None) -> DomainDataset:
     """Load one domain's rating log into a DomainDataset.
 
-    ``fmt`` is "csv" (header user,item,rating,timestamp) or "jsonl"
-    (reviewerID/asin/overall/unixReviewTime records, one per line); when None
-    it is inferred from the file suffix. Malformed rows raise
-    MalformedRowError naming the line; ratings outside [0, 5] are dropped and
-    counted in ``rejected_out_of_range``.
+    ``fmt`` is "csv" (header user,item,rating,timestamp) or "jsonl" (also
+    "json-lines" or "json_lines": reviewerID/asin/overall/unixReviewTime
+    records, one per line); when None it is inferred from the file suffix.
+    Malformed rows raise MalformedRowError naming the line; ratings outside
+    [0, 5] are dropped and counted in ``rejected_out_of_range``.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     if fmt is None:
         fmt = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt in ("json-lines", "json_lines"):
         fmt = "jsonl"
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
 
     columns = users, items, ratings, timestamps = [], [], [], []
     rejected = 0

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import DomainDataset, IdMap, check_disjoint_items
-from .nn import TwoLayerNet, fit, prefix_params, table_grad, uniform_init
+from .nn import RowGrad, TwoLayerNet, fit, prefix_params, uniform_init
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +164,8 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     """Mean squared error of a batch and its gradients w.r.t. all parameters.
 
     This is the exact computation one training step performs. Embedding
-    gradients come back as dense tables (rows outside the batch are zero).
+    gradients come back as ``RowGrad``s over the batch's rows; ``np.asarray``
+    gives their dense tables.
     """
     A, user_back = _user_side(model, model.users[user_idx])
     B, item_back = _item_side(model, model.items[item_idx])
@@ -172,8 +173,8 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     dU, grads = user_back(dA)
     dV, item_grads = item_back(dB)
     grads.update(item_grads)
-    grads["users"] = table_grad(model.users, user_idx, dU)
-    grads["items"] = table_grad(model.items, item_idx, dV)
+    grads["users"] = RowGrad(model.users.shape, user_idx, dU)
+    grads["items"] = RowGrad(model.items.shape, item_idx, dV)
     return loss, grads
 
 

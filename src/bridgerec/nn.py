@@ -1,5 +1,5 @@
-"""Minimal dense numeric kernel: two-layer nets, softmax, Adam, the shared
-training loop and grad checking.
+"""Minimal numeric kernel: two-layer nets, softmax, table gradients, Adam, the
+shared training loop and grad checking.
 
 Everything is float64 numpy. Backward passes are hand-derived and verified
 against central differences by ``grad_check``.
@@ -7,6 +7,7 @@ against central differences by ``grad_check``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,55 @@ def prefix_params(prefix: str, params: dict) -> dict:
     return {prefix + name: arr for name, arr in params.items()}
 
 
+def _scatter(shape: tuple, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # one flattened bincount: each bin adds its entries in input order, so repeated
+    # indices sum exactly as a sequential loop of "+=" would
+    k = math.prod(shape[1:])
+    flat = (np.asarray(idx) * k)[:, None] + np.arange(k)
+    grad = np.bincount(flat.ravel(), weights=np.reshape(rows, -1), minlength=shape[0] * k)
+    return grad.astype(np.float64, copy=False).reshape(shape)
+
+
 def table_grad(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Dense gradient of ``table`` given gradients ``rows`` of the gathered rows
     ``table[idx]``: repeated indices sum, rows outside ``idx`` stay zero."""
-    grad = np.zeros_like(table)
-    np.add.at(grad, idx, rows)
-    return grad
+    return _scatter(table.shape, idx, rows)
+
+
+class RowGrad:
+    """Gradient of a table that is zero outside the gathered rows ``table[idx]``:
+    ``rows[j]`` is the gradient of ``table[idx[j]]``, and repeated indices sum.
+
+    ``shape`` and ``size`` are the table's, and ``np.asarray`` gives the dense
+    gradient ``table_grad`` builds, so code that reads gradients as arrays
+    (``grad_check``) takes either form. ``Adam.step`` adds one to the moments
+    at the touched rows only.
+    """
+
+    __slots__ = ("shape", "idx", "rows")
+
+    def __init__(self, shape, idx: np.ndarray, rows: np.ndarray):
+        self.shape = tuple(shape)
+        self.idx = idx
+        self.rows = rows
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        return _scatter(self.shape, self.idx, self.rows).astype(dtype or np.float64, copy=False)
+
+    def summed(self):
+        """(the distinct indices in ascending order, the summed rows of each)."""
+        # a row mask finds the distinct indices in a third of np.unique's time
+        n = self.shape[0]
+        touched = np.zeros(n, dtype=bool)
+        touched[self.idx] = True
+        idx = np.flatnonzero(touched)
+        pos = np.empty(n, dtype=np.intp)
+        pos[idx] = np.arange(len(idx))
+        return idx, _scatter((len(idx), *self.shape[1:]), pos[self.idx], self.rows)
 
 
 class TwoLayerNet:
@@ -118,10 +162,13 @@ class Adam:
     """Bias-corrected Adam applied in place to a live parameter dict.
 
     Moment shapes mirror the tracked parameters; ``t`` counts the steps taken.
-    ``step`` takes gradients for any subset of the tracked parameters;
-    untracked names or mismatched shapes are an error. Two scratch arrays per
-    parameter hold the step's temporaries, so a step allocates no array the
-    size of a parameter.
+    ``step`` takes gradients for any subset of the tracked parameters, each an
+    array or a ``RowGrad``; untracked names or mismatched shapes are an error.
+    Two scratch arrays per parameter hold the step's temporaries, so a step
+    allocates no array the size of a parameter. A ``RowGrad`` adds its gradient
+    terms to the moments at its touched rows only; that is exact, because
+    elsewhere the dense step would add (1 - beta) * 0.0 to a moment that is
+    never -0.0.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -136,7 +183,7 @@ class Adam:
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
         self.scratch = {name: (np.empty_like(p), np.empty_like(p)) for name, p in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
         unknown = set(grads) - set(self.m)
         if unknown:
             raise ValueError(f"gradients for untracked parameters: {sorted(unknown)}")
@@ -145,7 +192,8 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         for name, g in grads.items():
             p = self.params[name]
-            g = np.asarray(g, dtype=np.float64)
+            if not isinstance(g, RowGrad):
+                g = np.asarray(g, dtype=np.float64)
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} "
                                  f"for {name!r}")
@@ -154,10 +202,16 @@ class Adam:
             s, d = self.scratch[name]
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
             m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=s), out=s)
-            np.multiply(self.lr, np.divide(m, c1, out=s), out=s)
+            if isinstance(g, RowGrad):
+                rows, g = g.summed()
+                m[rows] += (1.0 - self.beta1) * g
+                v[rows] += (1.0 - self.beta2) * (g * g)
+            else:
+                m += np.multiply(1.0 - self.beta1, g, out=s)
+                v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=s), out=s)
+            # m / 1.0 == m, and c1 rounds to 1.0 from t = 356 at beta1 = 0.9
+            np.multiply(self.lr, m if c1 == 1.0 else np.divide(m, c1, out=s), out=s)
             np.add(np.sqrt(np.divide(v, c2, out=d), out=d), self.eps, out=d)
             p -= np.divide(s, d, out=s)
 

@@ -22,12 +22,13 @@ import numpy as np
 from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_context,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_users)
-from .data import (RATING_MAX, RATING_MIN, DomainDataset, SplitPlan, build_sequences,
-                   dataset_from_columns, filter_to_indices, load_domain, make_split)
+from .data import (FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
+                   build_sequences, dataset_from_columns, filter_to_indices, load_domain,
+                   make_split)
 from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
-from .nn import ACTIVATIONS, fit, softmax, table_grad
+from .nn import ACTIVATIONS, RowGrad, fit, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +52,10 @@ class AmazonTask:
     tgt_path: str
     fmt: str | None = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.fmt is not None and self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS} or null, got {self.fmt!r}")
 
     @property
     def label(self) -> str:
@@ -475,9 +480,9 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
     def batch_fn(rows):
         uu, ii = pool_u[rows], pool_i[rows]
         loss, dE, dQ = dot_mse(E[uu], Q[ii], pool_r[rows])
-        grads = {"E": table_grad(E, uu, dE)}
+        grads = {"E": RowGrad(E.shape, uu, dE)}
         if plan.finetune_items:
-            grads["Q"] = table_grad(Q, ii, dQ)
+            grads["Q"] = RowGrad(Q.shape, ii, dQ)
         return loss, grads
 
     traces = {"finetune": fit(params, batch_fn, len(pool_r), plan.finetune,

@@ -701,3 +701,19 @@ def test_a_negative_seed_is_rejected_before_any_output(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "export", "suite"])
+def test_an_unknown_amazon_format_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
+                                                                pair_csvs, command):
+    _no_training(monkeypatch)
+    task = {"kind": "amazon", "src_path": str(pair_csvs[0]), "tgt_path": str(pair_csvs[1]),
+            "format": "xml"}
+    if command == "suite":
+        cfg = _suite_config(tmp_path, ["tgt"], task=task)
+    else:
+        cfg = _run_config(tmp_path, task=task)
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: format must be one of ") and "got 'xml'" in err
+    assert not (tmp_path / "out").exists()

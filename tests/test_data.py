@@ -133,6 +133,8 @@ class RatingTriple:
 def _ref_parse_fields(user, item, rating, timestamp, line_no):
     if user is None or item is None or rating is None or timestamp is None:
         raise MalformedRowError(f"line {line_no}: missing field")
+    if any(isinstance(ext, (bool, list, dict)) for ext in (user, item)):
+        raise MalformedRowError(f"line {line_no}: user or item id is not a string or a number")
     user = str(user)
     item = str(item)
     if not user or not item:
@@ -269,7 +271,8 @@ JSON_CLEAN = {"reviewerID": ["u1", "A,B", "3.5", 3.5, 12, -4],
               "asin": ["i1", "x", 7, 1.5],
               "overall": [0, 5, 7, -2, 1.5, 0.0, 5.0, 5.01, -0.5, "3.5", True],
               "unixReviewTime": [0, 12, "12", 1.5, True]}
-JSON_MESSY = {"reviewerID": ["", None], "asin": ["", None],
+JSON_MESSY = {"reviewerID": ["", None, True, False, ["x"]],
+              "asin": ["", None, True, False, ["x"]],
               "overall": [float("nan"), float("inf"), "x", "", None],
               "unixReviewTime": [-2, "x", "1.5", float("nan"), float("inf"), None]}
 

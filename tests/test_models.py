@@ -6,7 +6,7 @@ from bridgerec.models import (HEADS, DomainModel, TrainConfig, cmf_train, dot_ms
                               item_scoring_vectors, load_model, loss_and_grads,
                               predict_batch, pretrain, save_model, score,
                               user_representation, user_representations)
-from bridgerec.nn import fit, grad_check, table_grad, uniform_init
+from bridgerec.nn import RowGrad, fit, grad_check, table_grad, uniform_init
 from bridgerec.pipeline import SyntheticSpec, generate_synthetic
 from conftest import edit_checkpoint, make_dataset
 
@@ -102,6 +102,18 @@ def test_head_gradients_pass_grad_check(head):
                      lambda p: loss_and_grads(m, u, i, r)[1],
                      m.params(), eps=1e-5)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("head", HEADS)
+def test_table_gradients_are_row_gradients_over_the_batch(head):
+    m = DomainModel(30, 40, 3, head, rng=np.random.default_rng(2))
+    u, i = np.array([4, 29, 4]), np.array([0, 7, 39])
+    _, grads = loss_and_grads(m, u, i, np.array([1.0, 2.0, 3.0]))
+    for name, idx in (("users", u), ("items", i)):
+        g = grads[name]
+        assert isinstance(g, RowGrad) and g.shape == getattr(m, name).shape
+        assert np.array_equal(g.idx, idx) and g.rows.shape == (3, 3)
+    assert all(isinstance(g, np.ndarray) for n, g in grads.items() if n not in ("users", "items"))
 
 
 @pytest.mark.parametrize("head", HEADS)

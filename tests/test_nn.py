@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgerec.models import TrainConfig
-from bridgerec.nn import (Adam, TwoLayerNet, fit, grad_check, softmax, table_grad,
+from bridgerec.nn import (Adam, RowGrad, TwoLayerNet, fit, grad_check, softmax, table_grad,
                           uniform_init)
 
 
@@ -215,6 +215,64 @@ def test_adam_matches_the_textbook_expression_bit_for_bit():
         for name in start:
             np.testing.assert_array_equal(params[name], ref[name])
     assert opt.t == 50
+
+
+def _add_at_reference(shape, idx, rows):
+    grad = np.zeros(shape)
+    np.add.at(grad, idx, rows)
+    return grad
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3000), st.integers(1, 20), st.integers(0, 600), st.integers(0, 2**32 - 1))
+def test_table_grad_matches_a_sequential_scatter_bit_for_bit(n, k, b, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(rng.integers(0, n, size=b // 2 + 1), size=b)  # with repeats
+    rows = rng.choice([-1.0, 1.0], size=(b, k)) * 10.0 ** rng.uniform(-8, 8, size=(b, k))
+    table = rng.normal(size=(n, k))
+    got = table_grad(table, idx, rows)
+    assert got.dtype == np.float64 and got.shape == (n, k)
+    assert got.tobytes() == _add_at_reference((n, k), idx, rows).tobytes()
+
+
+def test_row_gradient_answers_as_its_dense_table():
+    rows = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
+    g = RowGrad((5, 2), np.array([3, 0, 3]), rows)
+    assert g.shape == (5, 2) and np.size(g) == 10
+    np.testing.assert_array_equal(np.asarray(g), [[10, 20], [0, 0], [0, 0], [101, 202], [0, 0]])
+    idx, summed = g.summed()
+    np.testing.assert_array_equal(idx, [0, 3])
+    np.testing.assert_array_equal(summed, [[10, 20], [101, 202]])
+
+
+def test_adam_rejects_a_row_gradient_of_another_shape():
+    params = {"users": np.zeros((4, 3))}
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(ValueError, match="'users'"):
+        opt.step({"users": RowGrad((5, 3), np.array([0]), np.ones((1, 3)))})
+    np.testing.assert_array_equal(params["users"], np.zeros((4, 3)))
+
+
+def test_adam_on_row_gradients_matches_dense_gradients_bit_for_bit():
+    # 400 steps pass t = 356, where 1 - 0.9**t rounds to 1.0; rows 6000+ are never touched
+    rng = np.random.default_rng(6)
+    start = {"table": rng.normal(size=(6800, 10)), "w": rng.normal(size=3)}
+    sparse = {name: p.copy() for name, p in start.items()}
+    dense = {name: p.copy() for name, p in start.items()}
+    opt_sparse, opt_dense = Adam(sparse, lr=0.01), Adam(dense, lr=0.01)
+    for _ in range(400):
+        idx = rng.integers(0, 6000, size=128)
+        idx[:32] = idx[32:64]
+        rows = rng.normal(size=(128, 10)) * 10.0 ** rng.uniform(-8, 8, size=(128, 1))
+        w = rng.normal(size=3)
+        opt_sparse.step({"table": RowGrad((6800, 10), idx, rows), "w": w})
+        opt_dense.step({"table": _add_at_reference((6800, 10), idx, rows), "w": w})
+    assert opt_sparse.t == 400 and 1.0 - 0.9 ** 356 == 1.0
+    pairs = ((sparse, dense), (opt_sparse.m, opt_dense.m), (opt_sparse.v, opt_dense.v))
+    for name in start:
+        for got, want in pairs:
+            assert got[name].tobytes() == want[name].tobytes()
+    assert sparse["table"][6000:].tobytes() == start["table"][6000:].tobytes()
 
 
 # ---------------------------------------------------------------------------

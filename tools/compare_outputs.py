@@ -6,7 +6,10 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``bridgerec`` package
 (a checkout's ``src/``). Each tree runs the same fixed matrix of seeded
 configs through ``python -m bridgerec.cli run`` (with ``save_checkpoints``)
 and then ``export``, with BLAS pinned to one thread, writing into
-OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The emcdr, ptupcdr and
+OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The cmf-small_batch
+config trains on batches of 16 and 8, so most table rows go untouched on each
+step and both Adam stages run past step 356, where the first bias correction
+rounds to exactly 1.0. The emcdr, ptupcdr and
 ptupcdr_mapping_ablation mf configs run a second time as <config>-meta_only,
 with ``stage: meta_only`` reading the checkpoints their first run saved; every
 command runs in OUT_DIR/<side>, so that checkpoint path is relative and the
@@ -85,6 +88,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
     configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "activation": "tanh"}
     configs["ptupcdr-two_tower-tanh"] = {"method": "ptupcdr", "base_model": "two_tower",
                                          "activation": "tanh"}
+    configs["cmf-small_batch"] = {"method": "cmf",
+                                  "pretrain": {**BASE["pretrain"], "batch_size": 16},
+                                  "finetune": {**BASE["finetune"], "epochs": 40, "batch_size": 8}}
     for method, tgt_log in (("ptupcdr", "movies.csv"), ("cmf", "movies.jsonl")):
         task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
                 "tgt_path": str(log_dir / tgt_log)}
