@@ -1,8 +1,10 @@
-"""Named-tensor checkpoints: a json manifest plus a little-endian float64 blob.
+"""Named-tensor checkpoints: a json manifest plus a little-endian blob.
 
 ``save_tensors("dir/model", {...})`` writes ``dir/model.json`` (tensor names,
 shapes, optional metadata) and ``dir/model.bin`` (values concatenated in
-manifest order). Round-trips are bit-exact.
+manifest order). Tensors are float64, the manifest's ``dtype``; an integer
+tensor is int64 and its entry says ``"dtype": "<i8"``, so a float-only
+checkpoint is written as it always was. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -13,23 +15,26 @@ from pathlib import Path
 import numpy as np
 
 DTYPE = "<f8"
+INT_DTYPE = "<i8"
 
 
 def save_tensors(prefix, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    names = sorted(tensors)
-    arrays = [np.ascontiguousarray(np.asarray(tensors[n], dtype=DTYPE)) for n in names]
-    manifest = {
-        "dtype": DTYPE,
-        "meta": meta or {},
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)],
-    }
+    arrays, entries = [], []
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name])
+        dtype = INT_DTYPE if np.issubdtype(arr.dtype, np.integer) else DTYPE
+        arrays.append(np.ascontiguousarray(arr, dtype=dtype))  # a scalar becomes shape (1,)
+        entries.append({"name": name, "shape": list(arrays[-1].shape)})
+        if dtype == INT_DTYPE:
+            entries[-1]["dtype"] = INT_DTYPE
+    manifest = {"dtype": DTYPE, "meta": meta or {}, "tensors": entries}
     prefix.with_suffix(prefix.suffix + ".json").write_text(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
     with open(prefix.with_suffix(prefix.suffix + ".bin"), "wb") as f:
         for a in arrays:
-            f.write(a.tobytes())
+            f.write(a.data)  # the array's own buffer: no copy
 
 
 def load_tensors(prefix):
@@ -41,17 +46,17 @@ def load_tensors(prefix):
         if not p.exists():
             raise FileNotFoundError(f"missing checkpoint artifact: {p}")
     manifest = json.loads(manifest_path.read_text())
-    blob = blob_path.read_bytes()
-    tensors = {}
-    offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype=manifest["dtype"], count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-        offset += count * 8
-    if offset != len(blob):
-        raise ValueError(f"checkpoint blob size {len(blob)} does not match manifest ({offset} expected)")
+    entries = [(e["name"], tuple(e["shape"]), np.dtype(e.get("dtype", manifest["dtype"])))
+               for e in manifest["tensors"]]
+    expected = sum(int(np.prod(shape)) * dtype.itemsize for _, shape, dtype in entries)
+    size = blob_path.stat().st_size
+    if size != expected:
+        raise ValueError(f"checkpoint blob size {size} does not match manifest "
+                         f"({expected} expected)")
+    # each tensor is read straight into its own array: no whole-blob buffer, no copy
+    with open(blob_path, "rb") as f:
+        tensors = {name: np.fromfile(f, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
+                   for name, shape, dtype in entries}
     return tensors, manifest.get("meta", {})
 
 

@@ -20,11 +20,11 @@ from pathlib import Path
 
 from . import checkpoint
 from .bridge import save_bridge_nets
-from .data import load_domain, make_split
+from .data import load_dataset, load_domain, make_split, save_dataset
 from .models import TrainConfig, load_model, save_model, user_representation
 from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
-                       SyntheticTask, _report_row, run_cold, run_plan, run_suite, sweep_plans,
-                       write_attention_csv, write_suite_csv, write_suite_json)
+                       SyntheticTask, _report_row, domain_source, run_cold, run_plan, run_suite,
+                       sweep_plans, write_attention_csv, write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
 
@@ -180,8 +180,16 @@ def _export_embeddings(cold, path: Path) -> None:
 
 
 def _save_checkpoints(cold, ckpt_dir: Path) -> None:
+    """Save the cold run's models and bridge. With both domain models, the methods
+    stage meta_only reads, also save both domains; each domain's meta holds where it
+    came from and the plan's beta and seed, which fix the split."""
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     if "src_model" in cold.artifacts:
+        plan = cold.plan
+        for side in ("src", "tgt"):
+            save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side),
+                         {"source": domain_source(plan, side), "beta": plan.beta,
+                          "seed": plan.seed})
         save_model(ckpt_dir / "src_model", cold.artifacts["src_model"])
     if "tgt_model" in cold.artifacts:
         save_model(ckpt_dir / "tgt_model", cold.artifacts["tgt_model"])
@@ -220,6 +228,24 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
                               f"but the config asks for base_model {plan.base_model!r} "
                               f"and k {plan.k}")
         loaded[name] = model
+    for side in ("src", "tgt"):
+        name = f"{side}_domain"
+        try:
+            ds, meta = load_dataset(Path(ckpt_dir) / name)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"missing checkpoint artifact for {name}: {exc}") from None
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
+        # the split, and so which target ratings trained tgt_model, follows from beta and seed
+        saved = (meta.get("beta"), meta.get("seed"))
+        if saved != (plan.beta, plan.seed):
+            raise ConfigError(f"checkpoints in {ckpt_dir} were saved at beta {saved[0]} and "
+                              f"seed {saved[1]}, but the config asks for beta {plan.beta} "
+                              f"and seed {plan.seed}")
+        if meta.get("source") != domain_source(plan, side):
+            raise ConfigError(f"{name} checkpoint in {ckpt_dir} was saved from other data "
+                              f"than the config's {side} domain")
+        loaded[side] = ds
     return loaded
 
 

@@ -2,12 +2,14 @@
 
 Loading and splitting are pure functions of their inputs; a SplitPlan is
 immutable once built and serializes to canonical json (same beta and seed
-give byte-identical files).
+give byte-identical files). A loaded dataset saves to a checkpoint and loads
+back exactly, so a later run need not parse its log again.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -16,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
+
 logger = logging.getLogger(__name__)
 
 RATING_MIN = 0.0
 RATING_MAX = 5.0
+TIMESTAMP_MAX = 2**63 - 1  # timestamps are int64
 
 FORMATS = ("csv", "jsonl", "json-lines", "json_lines")
 _ID_TYPES = (str, int, float)
@@ -27,6 +32,9 @@ CSV_FIELDS = ("user", "item", "rating", "timestamp")
 # Amazon review export schema
 JSONL_FIELDS = {"user": "reviewerID", "item": "asin",
                 "rating": "overall", "timestamp": "unixReviewTime"}
+# the tensors of a saved dataset, in DomainDataset field order
+DATASET_COLUMNS = ("user_idx", "item_idx", "rating", "timestamp")
+_HASH_BLOCK = 1 << 16  # a log is hashed in blocks of this many bytes, never read whole
 
 
 class MalformedRowError(ValueError):
@@ -134,6 +142,8 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
         raise MalformedRowError(f"line {line_no}: non-finite rating")
     if ts < 0:
         raise MalformedRowError(f"line {line_no}: negative timestamp {ts}")
+    if ts > TIMESTAMP_MAX:
+        raise MalformedRowError(f"line {line_no}: timestamp {ts} exceeds the int64 range")
     return user, item, r, ts
 
 
@@ -174,6 +184,25 @@ def _iter_jsonl(path: Path):
                                 line_no)
 
 
+def resolve_format(path, fmt: str | None) -> str:
+    """``fmt`` as "csv" or "jsonl"; None infers it from the suffix of ``path``."""
+    if fmt is None:
+        return "jsonl" if Path(path).suffix in (".jsonl", ".json") else "csv"
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    return "jsonl" if fmt in ("json-lines", "json_lines") else fmt
+
+
+def log_source(path, fmt: str | None = None) -> dict:
+    """What identifies the dataset ``load_domain(path, fmt)`` gives: the sha256 of
+    the log's bytes, read in fixed-size blocks, and its resolved format."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return {"format": resolve_format(path, fmt), "sha256": digest.hexdigest()}
+
+
 def load_domain(path, fmt: str | None = None) -> DomainDataset:
     """Load one domain's rating log into a DomainDataset.
 
@@ -186,12 +215,7 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if fmt is None:
-        fmt = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    if fmt in ("json-lines", "json_lines"):
-        fmt = "jsonl"
+    fmt = resolve_format(path, fmt)
 
     columns = users, items, ratings, timestamps = [], [], [], []
     rejected = 0
@@ -207,6 +231,43 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     logger.info("loaded %s: %d ratings, %d users, %d items (%d out-of-range rows rejected)",
                 path.name, ds.n_ratings, ds.n_users, ds.n_items, rejected)
     return ds
+
+
+def save_dataset(prefix, ds: DomainDataset, meta: dict | None = None) -> None:
+    """Save ``ds`` as a checkpoint: its columns as tensors, and its id lists in index
+    order, its rejected-row count and ``meta`` in the manifest."""
+    checkpoint.save_tensors(prefix, {name: getattr(ds, name) for name in DATASET_COLUMNS},
+                            {**(meta or {}), "kind": "domain", "users": ds.users.backward,
+                             "items": ds.items.backward,
+                             "rejected_out_of_range": ds.rejected_out_of_range})
+
+
+def load_dataset(prefix) -> tuple[DomainDataset, dict]:
+    """The dataset ``save_dataset`` wrote at ``prefix``, and the manifest's meta.
+
+    A missing entry, a repeated id, columns of unequal length or of the wrong
+    dtype, or an index outside its id map is a ValueError.
+    """
+    tensors, meta = checkpoint.load_tensors(prefix)
+    if meta.get("kind") != "domain":
+        raise ValueError(f"checkpoint at {prefix} is not a domain dataset")
+    try:
+        columns = [tensors[name] for name in DATASET_COLUMNS]
+        users, items = IdMap.from_ids(meta["users"]), IdMap.from_ids(meta["items"])
+        rejected = meta["rejected_out_of_range"]
+    except KeyError as exc:
+        raise ValueError(f"domain checkpoint at {prefix} lacks {exc}") from None
+    if (len(users), len(items)) != (len(meta["users"]), len(meta["items"])):
+        raise ValueError(f"domain checkpoint at {prefix} repeats an id")
+    if (len({c.shape for c in columns}) != 1 or columns[0].ndim != 1
+            or [c.dtype for c in columns] != [np.int64, np.int64, np.float64, np.int64]):
+        raise ValueError(f"domain checkpoint at {prefix} needs four int64/float64 columns "
+                         "of equal length")
+    for idx, ids, name in ((columns[0], users, "user"), (columns[1], items, "item")):
+        if idx.size and (idx.min() < 0 or idx.max() >= len(ids)):
+            raise ValueError(f"domain checkpoint at {prefix} has a {name} index "
+                             "outside its id map")
+    return DomainDataset(users, items, *columns, rejected_out_of_range=rejected), meta
 
 
 def filter_to_indices(ds: DomainDataset, indices: np.ndarray) -> DomainDataset:

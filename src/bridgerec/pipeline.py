@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_
                      transform_users)
 from .data import (FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
                    build_sequences, dataset_from_columns, filter_to_indices, load_domain,
-                   make_split)
+                   log_source, make_split)
 from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
@@ -332,6 +332,15 @@ def _resolve_data(plan: ExperimentPlan, data_seed: int):
             load_domain(plan.task.tgt_path, plan.task.fmt))
 
 
+def domain_source(plan: ExperimentPlan, side: str) -> dict:
+    """What identifies the ``side`` ("src" or "tgt") dataset of ``plan``: its log's
+    sha256 and resolved format, or the synthetic spec and the data seed."""
+    task = plan.task
+    if isinstance(task, SyntheticTask):
+        return {"spec": asdict(task.spec), "data_seed": _stage_seeds(plan.seed)["data"]}
+    return log_source(task.src_path if side == "src" else task.tgt_path, task.fmt)
+
+
 def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_user,
               scoring: np.ndarray, E: np.ndarray, counters: dict, traces: dict) -> MetricsReport:
     """Score the target rows of user i against E[i], clipped to the rating range."""
@@ -367,20 +376,22 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     ``pretrained`` holds what plans that differ only in ``method`` share: the
     domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
     "src_model" (with their TrainRecords "tgt_trace" and "src_trace", which a
-    loaded checkpoint lacks). run_cold reuses what the dict holds and adds what
+    loaded checkpoint lacks). A dict loaded from checkpoints holds the domains
+    and models but no split. run_cold reuses what the dict holds and adds what
     it builds; it never modifies an entry.
     """
     seeds = _stage_seeds(plan.seed)
     shared = {} if pretrained is None else pretrained
+    if "src" not in shared:
+        shared["src"], shared["tgt"] = _resolve_data(plan, seeds["data"])
+    src, tgt = shared["src"], shared["tgt"]
     if "split" not in shared:
-        src, tgt = _resolve_data(plan, seeds["data"])
         split = make_split(src, tgt, plan.beta, plan.seed)
         if len(split.users_without_warm) == len(split.test_users):
             raise ValueError(f"none of the {len(split.test_users)} test users has a warm "
                              "rating, so the warm stage would have nothing to score")
-        shared.update(src=src, tgt=tgt, split=split,
-                      tgt_train=filter_to_indices(tgt, split.target_train_indices))
-    src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
+        shared.update(split=split, tgt_train=filter_to_indices(tgt, split.target_train_indices))
+    split, tgt_train = shared["split"], shared["tgt_train"]
 
     artifacts: dict = {}
     traces: dict = {}

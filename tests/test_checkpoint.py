@@ -37,3 +37,38 @@ def test_saves_are_deterministic(tmp_path):
 def test_missing_artifact_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tensors(tmp_path / "nothing")
+
+
+def test_integer_tensor_keeps_int64(tmp_path):
+    tensors = {"i": np.array([2**63 - 1, -5, 0]), "j": np.arange(4, dtype=np.int32).reshape(2, 2),
+               "f": np.array([0.5, -0.0])}
+    save_tensors(tmp_path / "ckpt", tensors)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    assert manifest["dtype"] == "<f8"
+    assert {e["name"]: e.get("dtype") for e in manifest["tensors"]} == {
+        "f": None, "i": "<i8", "j": "<i8"}
+    loaded, _ = load_tensors(tmp_path / "ckpt")
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == (np.float64 if name == "f" else np.int64)
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tolist() == arr.tolist()
+
+
+def test_float_only_checkpoint_is_written_as_before(tmp_path):
+    # a float-only manifest names no per-tensor dtype, so model and bridge
+    # checkpoints stay byte-identical to those written before integer tensors
+    save_tensors(tmp_path / "m", {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5]),
+                                  "s": np.float64(2.0)}, meta={"k": 3})
+    assert (tmp_path / "m.json").read_text() == (
+        '{"dtype":"<f8","meta":{"k":3},"tensors":[{"name":"b","shape":[1]},'
+        '{"name":"s","shape":[1]},{"name":"w","shape":[2,3]}]}\n')
+    assert (tmp_path / "m.bin").read_bytes() == np.array(
+        [1.5, 2, 0, 1, 2, 3, 4, 5], dtype="<f8").tobytes()
+
+
+def test_truncated_blob_raises(tmp_path):
+    save_tensors(tmp_path / "t", {"i": np.arange(3)})
+    blob = tmp_path / "t.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ValueError):
+        load_tensors(tmp_path / "t")

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import time
 
 import pytest
@@ -181,6 +182,132 @@ def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# meta_only reads the domains its checkpoints were trained on
+
+FAST = {"task": SMOKE_TASK, "method": "ptupcdr", "k": 4, "beta": 0.2, "seed": 3,
+        "pretrain": {"lr": 0.01, "epochs": 5}, "bridge": {"lr": 0.01, "epochs": 3},
+        "finetune": {"lr": 0.01, "epochs": 5}}
+
+
+def _write_smoke_logs(log_dir):
+    """The SMOKE_TASK world's two domains as csv logs; returns their paths by side."""
+    spec = SyntheticSpec(**{k: v for k, v in SMOKE_TASK.items() if k != "kind"})
+    log_dir.mkdir()
+    paths = {}
+    for side, ds in zip(("src", "tgt"), pipeline.generate_synthetic(spec, 0)[:2]):
+        rows = zip(ds.user_idx.tolist(), ds.item_idx.tolist(), ds.rating.tolist(),
+                   ds.timestamp.tolist())
+        paths[side] = log_dir / f"{side}.csv"
+        paths[side].write_text("user,item,rating,timestamp\n" + "".join(
+            f"{ds.users.external(u)},{ds.items.external(i)},{r!r},{t}\n" for u, i, r, t in rows))
+    return paths
+
+
+def _file_task(logs):
+    return {"kind": "amazon", "src_path": str(logs["src"]), "tgt_path": str(logs["tgt"])}
+
+
+@pytest.fixture(scope="module")
+def checkpointed(tmp_path_factory):
+    """Per task kind, a ptupcdr run that saved checkpoints: (its config, its
+    checkpoint dir, its report rows); the files task also gives its logs."""
+    root = tmp_path_factory.mktemp("checkpointed")
+    logs = _write_smoke_logs(root / "logs")
+    runs = {}
+    for kind, task in (("files", _file_task(logs)), ("synthetic", SMOKE_TASK)):
+        cfg, out = {**FAST, "task": task}, root / kind
+        path = root / f"{kind}.json"
+        path.write_text(json.dumps({**cfg, "save_checkpoints": True}))
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        runs[kind] = cfg, out / "checkpoints", json.loads((out / "report.json").read_text())
+    runs["logs"] = logs
+    return runs
+
+
+def _meta_only_config(tmp_path, cfg, ckpt, **overrides):
+    path = tmp_path / "meta_only.json"
+    path.write_text(json.dumps({**cfg, "stage": "meta_only", "checkpoint_dir": str(ckpt),
+                                **overrides}))
+    return path
+
+
+def _rejected(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["files", "synthetic"])
+def test_meta_only_reads_its_domains_from_the_checkpoints(tmp_path, monkeypatch, checkpointed,
+                                                          kind):
+    cfg, ckpt, full = checkpointed[kind]
+
+    def parsed(*args, **kwargs):
+        raise AssertionError("a meta_only run loaded or generated a domain")
+
+    for name in ("bridgerec.pipeline.load_domain", "bridgerec.pipeline.generate_synthetic"):
+        monkeypatch.setattr(name, parsed)
+    path = _meta_only_config(tmp_path, cfg, ckpt)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    again = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert ([(r["stage"], r["mae"], r["rmse"]) for r in again]
+            == [(r["stage"], r["mae"], r["rmse"]) for r in full])
+    assert main(["export", str(path), "--out-dir", str(tmp_path / "export")]) == 0
+    for name in ("attention.csv", "embeddings.csv"):
+        assert (tmp_path / "export" / name).read_text().count("\n") > 1
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_meta_only_rejects_a_log_edited_after_checkpointing(tmp_path, capsys, checkpointed,
+                                                           side):
+    cfg, ckpt, _ = checkpointed["files"]
+    logs = dict(checkpointed["logs"])
+    lines = logs[side].read_text().splitlines(keepends=True)
+    user, item, rating, ts = lines[1].split(",")
+    lines[1] = ",".join((user, item, "1.5" if rating != "1.5" else "2.5", ts))
+    logs[side] = tmp_path / f"{side}.csv"
+    logs[side].write_text("".join(lines))
+    path = _meta_only_config(tmp_path, {**cfg, "task": _file_task(logs)}, ckpt)
+    _rejected(tmp_path, capsys, ["run", str(path)],
+              f"{side}_domain checkpoint in {ckpt} was saved from other data")
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+@pytest.mark.parametrize("case", ["missing", "truncated"])
+def test_meta_only_rejects_a_missing_or_truncated_domain_checkpoint(tmp_path, capsys,
+                                                                    checkpointed, side, case):
+    cfg, ckpt, _ = checkpointed["files"]
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    blob = copy / f"{side}_domain.bin"
+    if case == "missing":
+        blob.unlink()
+    else:
+        blob.write_bytes(blob.read_bytes()[:-8])
+    message = (f"missing checkpoint artifact for {side}_domain" if case == "missing"
+               else f"{side}_domain checkpoint in {copy} is unreadable")
+    _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))], message)
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+@pytest.mark.parametrize("kind, overrides, flags, asked", [
+    ("files", {"seed": 4}, [], "beta 0.2 and seed 4"),
+    ("files", {}, ["--seed", "2"], "beta 0.2 and seed 2"),
+    ("files", {"beta": 0.3}, [], "beta 0.3 and seed 3"),
+    ("synthetic", {}, ["--seed", "2"], "beta 0.2 and seed 2"),
+], ids=["config-seed", "flag-seed", "beta", "synthetic-flag-seed"])
+def test_meta_only_rejects_another_beta_or_seed(tmp_path, capsys, checkpointed, command,
+                                                kind, overrides, flags, asked):
+    # another split would put target ratings that trained tgt_model into the test set
+    cfg, ckpt, _ = checkpointed[kind]
+    path = _meta_only_config(tmp_path, cfg, ckpt, **overrides)
+    _rejected(tmp_path, capsys, [command, str(path), *flags],
+              f"checkpoints in {ckpt} were saved at beta 0.2 and seed 3, "
+              f"but the config asks for {asked}")
 
 
 # ---------------------------------------------------------------------------

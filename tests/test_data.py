@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgerec.data import (CSV_FIELDS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
-                            DomainDataset, IdMap, MalformedRowError,
-                            build_sequences, filter_to_indices, load_domain,
-                            make_split, overlap_users, verify_split)
+from bridgerec.checkpoint import load_tensors, save_tensors
+from bridgerec.data import (CSV_FIELDS, DATASET_COLUMNS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
+                            DomainDataset, IdMap, MalformedRowError, build_sequences,
+                            dataset_from_columns, filter_to_indices, load_dataset, load_domain,
+                            make_split, overlap_users, save_dataset, verify_split)
 from conftest import make_dataset
 
 
@@ -150,6 +151,8 @@ def _ref_parse_fields(user, item, rating, timestamp, line_no):
         raise MalformedRowError(f"line {line_no}: non-finite rating")
     if ts < 0:
         raise MalformedRowError(f"line {line_no}: negative timestamp {ts}")
+    if ts > 2**63 - 1:
+        raise MalformedRowError(f"line {line_no}: timestamp {ts} exceeds the int64 range")
     return RatingTriple(user, item, r, ts)
 
 
@@ -474,6 +477,66 @@ def test_split_json_round_trip(tmp_path):
     assert loaded.to_json() == plan.to_json()
     np.testing.assert_array_equal(np.sort(loaded.target_train_indices),
                                   np.sort(plan.target_train_indices))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_timestamp_beyond_int64_is_malformed(tmp_path, fmt):
+    path = tmp_path / f"big.{fmt}"
+
+    def write(timestamps):
+        if fmt == "csv":
+            path.write_text("user,item,rating,timestamp\n"
+                            + "".join(f"A{n},B{n},4.0,{t}\n" for n, t in enumerate(timestamps)))
+        else:
+            path.write_text("".join(f'{{"reviewerID": "A{n}", "asin": "B{n}", "overall": 4.0, '
+                                    f'"unixReviewTime": {t}}}\n'
+                                    for n, t in enumerate(timestamps)))
+
+    write([0, 2**63 - 1])
+    assert load_domain(path).timestamp.tolist() == [0, 2**63 - 1]
+    write([0, 2**63 - 1, 99999999999999999999])
+    line = 4 if fmt == "csv" else 3
+    with pytest.raises(MalformedRowError, match=f"^line {line}: timestamp 99999999999999999999 "
+                                                "exceeds the int64 range$"):
+        load_domain(path)
+
+
+# ---------------------------------------------------------------------------
+# dataset checkpoints
+
+@pytest.mark.parametrize("rows", [
+    [("ü", "книга", 4.5, 2**63 - 1), ("b", "i1", 0.1, 0), ("ü", "i1", 5.0, 7),
+     ("c,1", "日本", 1e-9, 3)],
+    [],
+], ids=["non-ascii", "empty"])
+def test_dataset_checkpoint_round_trips_exactly(tmp_path, rows):
+    ds = dataset_from_columns(*(zip(*rows) if rows else ([], [], [], [])), rejected=2)
+    save_dataset(tmp_path / "d", ds, {"source": {"sha256": "ab"}})
+    back, meta = load_dataset(tmp_path / "d")
+    assert meta["source"] == {"sha256": "ab"} and back.rejected_out_of_range == 2
+    for ids, ids_back in ((ds.users, back.users), (ds.items, back.items)):
+        assert ids_back.backward == ids.backward and ids_back.forward == ids.forward
+    for name in DATASET_COLUMNS:
+        a, b = getattr(ds, name), getattr(back, name)
+        assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t, m: t.update(rating=t["rating"][:-1]), "of equal length"),
+    (lambda t, m: t.update(timestamp=t["timestamp"].astype(float)), "of equal length"),
+    (lambda t, m: t["item_idx"].__setitem__(0, 2), "item index outside its id map"),
+    (lambda t, m: t["user_idx"].__setitem__(0, -1), "user index outside its id map"),
+    (lambda t, m: m.update(users=["a", "a"]), "repeats an id"),
+    (lambda t, m: m.pop("items"), "lacks 'items'"),
+    (lambda t, m: m.update(kind="domain_model"), "is not a domain dataset"),
+], ids=["lengths", "dtype", "item-range", "user-range", "repeated-id", "no-items", "kind"])
+def test_dataset_checkpoint_that_disagrees_is_rejected(tmp_path, edit, message):
+    save_dataset(tmp_path / "d", make_dataset([("a", "i0", 3.0, 1), ("b", "i1", 4.0, 2)]))
+    tensors, meta = load_tensors(tmp_path / "d")
+    edit(tensors, meta)
+    save_tensors(tmp_path / "d", tensors, meta)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(tmp_path / "d")
 
 
 # ---------------------------------------------------------------------------

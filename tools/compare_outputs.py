@@ -9,13 +9,14 @@ and then ``export``, with BLAS pinned to one thread, writing into
 OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The cmf-small_batch
 config trains on batches of 16 and 8, so most table rows go untouched on each
 step and both Adam stages run past step 356, where the first bias correction
-rounds to exactly 1.0. The emcdr, ptupcdr and
-ptupcdr_mapping_ablation mf configs run a second time as <config>-meta_only,
-with ``stage: meta_only`` reading the checkpoints their first run saved; every
-command runs in OUT_DIR/<side>, so that checkpoint path is relative and the
-config files match across trees. Two configs read rating
+rounds to exactly 1.0. Two configs read rating
 logs (csv + csv and csv + json-lines) that the script writes once into
-OUT_DIR/logs from a fixed world, and each tree also runs ``prepare`` on them
+OUT_DIR/logs from a fixed world. The emcdr, ptupcdr and
+ptupcdr_mapping_ablation mf configs and the ptupcdr csv + csv config run a
+second time as <config>-meta_only, with ``stage: meta_only`` reading the
+checkpoints (models and domains) their first run saved; every command runs in
+OUT_DIR/<side>, so that checkpoint path is relative and the config files
+match across trees. Each tree also runs ``prepare`` on the logs
 into OUT_DIR/<side>/prepare. On the csv + json-lines logs each tree also runs
 one ``suite`` sweep (tgt, cmf, emcdr and ptupcdr over two betas and two
 seeds, with ``--export-attention``) serially into OUT_DIR/<side>/suite-serial
@@ -24,7 +25,8 @@ prints every file that differs or exists on one side only, and the largest
 difference of any report metric.
 A differing ``report.json`` is printed with the largest difference of its
 metrics, and a differing checkpoint ``.bin`` whose two manifests list the
-same shapes with the largest absolute difference of its float64 values. It
+same shapes and dtypes with the largest absolute difference of its values,
+each tensor read with the dtype its manifest gives. It
 exits 1 on any difference or failed command, else 0. Passing the same tree
 twice checks that two processes give byte-identical outputs.
 """
@@ -49,7 +51,7 @@ BASE = {"task": TASK, "k": 4, "beta": 0.2, "seed": 3, "save_checkpoints": True,
         "bridge": {"lr": 0.01, "epochs": 10},
         "finetune": {"lr": 0.01, "epochs": 20}}
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
-META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf")
+META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf", "ptupcdr-files-csv")
 
 
 def write_logs(log_dir: Path) -> None:
@@ -153,15 +155,28 @@ def max_metric_diff(a: Path, b: Path) -> float:
                 for m in ("mae", "rmse")), default=0.0)
 
 
+def read_tensors(blob_path: Path) -> list[tuple[list, str, np.ndarray]]:
+    """(shape, dtype, values) of each tensor of a checkpoint blob, in manifest order;
+    a tensor's dtype is its entry's, else the manifest's."""
+    manifest = json.loads(blob_path.with_suffix(".json").read_text())
+    blob, offset, tensors = blob_path.read_bytes(), 0, []
+    for entry in manifest["tensors"]:
+        dtype = np.dtype(entry.get("dtype", manifest["dtype"]))
+        count = int(np.prod(entry["shape"]))
+        tensors.append((entry["shape"], dtype.str,
+                        np.frombuffer(blob, dtype=dtype, count=count, offset=offset)))
+        offset += count * dtype.itemsize
+    return tensors
+
+
 def max_tensor_diff(a: Path, b: Path) -> float | None:
     """Largest absolute difference of two checkpoint blobs; None when their
-    manifests list different shapes."""
-    shapes = [[e["shape"] for e in json.loads(p.with_suffix(".json").read_text())["tensors"]]
-              for p in (a, b)]
-    if shapes[0] != shapes[1]:
+    manifests list different shapes or dtypes."""
+    ta, tb = read_tensors(a), read_tensors(b)
+    if [t[:2] for t in ta] != [t[:2] for t in tb]:
         return None
-    va, vb = (np.frombuffer(p.read_bytes(), dtype="<f8") for p in (a, b))
-    return float(np.max(np.abs(va - vb), initial=0.0))
+    return max((float(np.max(np.abs(va.astype(np.float64) - vb), initial=0.0))
+                for (_, _, va), (_, _, vb) in zip(ta, tb)), default=0.0)
 
 
 def main(argv: list[str]) -> int:
