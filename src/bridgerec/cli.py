@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import checkpoint
 from .bridge import save_bridge_nets
-from .data import load_dataset, load_domain, make_split, save_dataset
+from .data import FORMATS, load_dataset, load_domain, make_split, save_dataset
 from .models import TrainConfig, load_model, save_model, user_representation
 from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                        SyntheticTask, _report_row, domain_source, run_cold, run_plan, run_suite,
@@ -346,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("tgt", help="target-domain rating log")
     p.add_argument("--beta", type=float, required=True, help="fraction of overlap users held out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_prepare)
 
@@ -360,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None, help="replace the seed list")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--parallel", type=int, default=None, help="plans to run concurrently")
+    p.add_argument("--parallel", type=int, default=None, help="plan groups to run at once")
     p.add_argument("--export-attention", action="store_true")
     p.set_defaults(fn=cmd_suite)
 

@@ -27,7 +27,6 @@ RATING_MAX = 5.0
 TIMESTAMP_MAX = 2**63 - 1  # timestamps are int64
 
 FORMATS = ("csv", "jsonl", "json-lines", "json_lines")
-_ID_TYPES = (str, int, float)
 CSV_FIELDS = ("user", "item", "rating", "timestamp")
 # Amazon review export schema
 JSONL_FIELDS = {"user": "reviewerID", "item": "asin",
@@ -123,12 +122,10 @@ def dataset_from_columns(users, items, ratings, timestamps, rejected: int = 0) -
 def _parse_fields(user, item, rating, timestamp, line_no: int):
     if user is None or item is None or rating is None or timestamp is None:
         raise MalformedRowError(f"line {line_no}: missing field")
-    # a json-lines id may be a string or a number (a bool's type is not int); str() of
-    # anything else (true, ["x"]) would forge an id that can merge with a real one
-    if type(user) not in _ID_TYPES or type(item) not in _ID_TYPES:
-        raise MalformedRowError(f"line {line_no}: user or item id is not a string or a number")
-    user = str(user)
-    item = str(item)
+    # a json-lines id must be a string: str() of anything else (12, 1e2, true) would
+    # forge an id ("12", "100.0", "True") that can merge with a real one
+    if type(user) is not str or type(item) is not str:
+        raise MalformedRowError(f"line {line_no}: user or item id is not a string")
     if not user or not item:
         raise MalformedRowError(f"line {line_no}: empty user or item id")
     if isinstance(rating, bool) or isinstance(timestamp, bool):

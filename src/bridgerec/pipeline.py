@@ -544,39 +544,53 @@ def _plan_rows(plan: ExperimentPlan, record_runtime: bool, attention_path: Path 
             _report_row(plan, warm, t_warm, record_runtime)]
 
 
-def _pool_rows(jobs, workers: int) -> list:
-    """Rows of each ``_plan_rows`` argument tuple, one future each in a process
-    pool; None for a job lost because a worker died (``BrokenProcessPool``, a
-    ``BrokenExecutor``: catching the base keeps multiprocessing out of import)."""
+def _group_rows(jobs) -> list:
+    """Rows of each ``_plan_rows`` argument tuple of one group, in job order, run
+    with one shared dict of domains, split and pre-trained models. cmf trains no
+    base model: it runs first, so that no shared model is alive while its larger
+    tables train."""
+    shared: dict = {}
+    chunks = [None] * len(jobs)
+    for i in sorted(range(len(jobs)), key=lambda i: jobs[i][0].method != "cmf"):
+        chunks[i] = _plan_rows(*jobs[i], shared)
+    return chunks
+
+
+def _pool_rows(groups, workers: int) -> list:
+    """``_group_rows`` of each group, one future each in a process pool of at
+    most ``workers`` workers; each job of a group lost because a worker died
+    gets None (``BrokenProcessPool``, a ``BrokenExecutor``: catching the base
+    keeps multiprocessing out of import)."""
     futures = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for job in jobs:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+        for jobs in groups:
             try:
-                futures.append(pool.submit(_plan_rows, *job))
+                futures.append(pool.submit(_group_rows, jobs))
             except concurrent.futures.BrokenExecutor:
                 futures.append(None)
-    chunks = []
-    for future in futures:
+    results = []
+    for jobs, future in zip(groups, futures):
         try:
-            chunks.append(None if future is None else future.result())
+            results.append(future.result() if future is not None else [None] * len(jobs))
         except concurrent.futures.BrokenExecutor:
-            chunks.append(None)
-    return chunks
+            results.append([None] * len(jobs))
+    return results
 
 
 def run_suite(plans, parallelism: int = 1, record_runtime: bool = True,
               attention_dir: Path | None = None):
     """Run every plan, then append seed-averaged rows per (task, beta, method, stage).
 
-    Run serially, plans that differ only in ``method`` share one load of the
-    domains, one split and one pre-trained source and target model, dropped
-    once the last of them has run; cmf plans run first in their group. With
-    ``parallelism`` > 1 every plan runs alone in a worker process.
+    Plans that differ only in ``method`` form a group, the unit of work: they
+    share one load of the domains, one split and one pre-trained source and
+    target model (``_group_rows``). With ``parallelism`` 1 the groups run in
+    this process, otherwise up to ``parallelism`` at once in worker processes.
 
     Failed plans produce a single row with stage "failed" and an ``error``
-    field; the suite continues. A worker that dies loses every plan its pool
-    had not finished, so each of those runs again alone: only a plan that
-    kills its own worker fails. Rows come back in deterministic plan order.
+    field; the suite continues. A worker that dies loses every group its pool
+    had not finished, so each plan of those groups runs again alone in a
+    worker of its own: only a plan that kills its own worker fails. Rows come
+    back in deterministic plan order.
 
     With ``attention_dir``, the first plan of each ptupcdr-family (method,
     beta) writes its cold run's attention weights to
@@ -594,28 +608,22 @@ def run_suite(plans, parallelism: int = 1, record_runtime: bool = True,
     paths = {i: Path(attention_dir) / f"attention_{method}_beta{beta:g}.csv"
              for (method, beta), i in attention.items()}
     jobs = [(plan, record_runtime, paths.get(i)) for i, plan in enumerate(plans)]
-
-    if parallelism > 1:
-        chunks = _pool_rows(jobs, parallelism)
-        for i, plan in enumerate(plans):
-            if chunks[i] is None:
-                chunks[i] = _pool_rows([jobs[i]], 1)[0]
-            if chunks[i] is None:
-                logger.error("plan failed: %s %s beta=%s seed=%s: its worker process died",
-                             plan.task.label, plan.method, plan.beta, plan.seed)
-                chunks[i] = [_failed_row(plan, "the worker process running the plan died")]
-    else:
-        chunks = [None] * len(plans)
-        shares: dict[tuple, list[int]] = {}  # plan indices by every field but method
-        for i, plan in enumerate(plans):
-            shares.setdefault(astuple(replace(plan, method=METHODS[0])), []).append(i)
-        for group in shares.values():
-            shared: dict = {}
-            # cmf trains no base model: run it before any is pre-trained, so that
-            # no shared model is alive while cmf's larger tables train
-            for i in sorted(group, key=lambda i: plans[i].method != "cmf"):
-                chunks[i] = _plan_rows(*jobs[i], shared)
-    rows = [r for chunk in chunks for r in chunk]
+    shares: dict[tuple, list[int]] = {}  # plan indices by every field but method
+    for i, plan in enumerate(plans):
+        shares.setdefault(astuple(replace(plan, method=METHODS[0])), []).append(i)
+    group_jobs = [[jobs[i] for i in members] for members in shares.values()]
+    results = ([_group_rows(group) for group in group_jobs] if parallelism == 1
+               else _pool_rows(group_jobs, parallelism))
+    chunks = dict(zip((i for members in shares.values() for i in members),
+                      (chunk for result in results for chunk in result)))
+    for i, plan in enumerate(plans):
+        if chunks[i] is None:  # its worker died: run the plan again alone
+            (chunks[i],) = _pool_rows([[jobs[i]]], 1)[0]
+        if chunks[i] is None:
+            logger.error("plan failed: %s %s beta=%s seed=%s: its worker process died",
+                         plan.task.label, plan.method, plan.beta, plan.seed)
+            chunks[i] = [_failed_row(plan, "the worker process running the plan died")]
+    rows = [r for i in range(len(plans)) for r in chunks[i]]
 
     groups: dict[tuple, list[dict]] = {}
     for r in rows:

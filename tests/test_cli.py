@@ -10,6 +10,7 @@ import pytest
 
 from bridgerec import pipeline
 from bridgerec.cli import build_plan, main
+from bridgerec.data import FORMATS
 from bridgerec.models import DomainModel, TrainConfig, save_model
 from bridgerec.pipeline import (BASE_MODELS, METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, sweep_plans)
@@ -44,6 +45,26 @@ def test_prepare_writes_deterministic_split(tmp_path, pair_csvs, capsys):
     assert (out1 / "split.json").read_bytes() == (out2 / "split.json").read_bytes()
     for name in ("src_users", "src_items", "tgt_users", "tgt_items"):
         assert (out1 / f"{name}.json").exists()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_prepare_takes_every_format_load_domain_does(tmp_path, pair_csvs, fmt):
+    # the logs get a suffix that infers nothing, so only --format names their format
+    logs = []
+    for path in pair_csvs:
+        log = tmp_path / f"{path.stem}.log"
+        if fmt == "csv":
+            shutil.copy(path, log)
+        else:
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            log.write_text("".join(json.dumps({"reviewerID": u, "asin": i, "overall": float(r),
+                                               "unixReviewTime": int(t)}) + "\n"
+                                   for u, i, r, t in rows))
+        logs.append(str(log))
+    for argv, out in ((map(str, pair_csvs), "csv"), ([*logs, "--format", fmt], "flag")):
+        assert main(["prepare", *argv, "--beta", "0.4", "--out-dir", str(tmp_path / out)]) == 0
+    assert (tmp_path / "flag" / "split.json").read_bytes() == \
+        (tmp_path / "csv" / "split.json").read_bytes()
 
 
 def test_prepare_rejects_bad_beta(tmp_path, pair_csvs, capsys):

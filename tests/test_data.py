@@ -104,6 +104,19 @@ def test_jsonl_value_out_of_float_range_is_malformed(tmp_path, field, value, err
         load_domain(path)
 
 
+@pytest.mark.parametrize("field", ["reviewerID", "asin"])
+@pytest.mark.parametrize("value", ["12", "1e2", "-4", "3.5", "true", '["A1"]', '{"id": "A1"}'])
+def test_jsonl_id_that_is_not_a_json_string_is_malformed(tmp_path, field, value):
+    # 12 and "12" would otherwise load as one user, and 1e2 as the user "100.0"
+    fields = {"reviewerID": '"12"', "asin": '"B1"', "overall": "4.0", "unixReviewTime": "1",
+              field: value}
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"reviewerID": "12", "asin": "100.0", "overall": 3.0, "unixReviewTime": 1}\n'
+                    + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+    with pytest.raises(MalformedRowError, match="^line 2: user or item id is not a string$"):
+        load_domain(path)
+
+
 @pytest.mark.parametrize("field", ["overall", "unixReviewTime"])
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_jsonl_boolean_rating_or_timestamp_is_malformed(tmp_path, field, value):
@@ -134,10 +147,8 @@ class RatingTriple:
 def _ref_parse_fields(user, item, rating, timestamp, line_no):
     if user is None or item is None or rating is None or timestamp is None:
         raise MalformedRowError(f"line {line_no}: missing field")
-    if any(isinstance(ext, (bool, list, dict)) for ext in (user, item)):
-        raise MalformedRowError(f"line {line_no}: user or item id is not a string or a number")
-    user = str(user)
-    item = str(item)
+    if not (isinstance(user, str) and isinstance(item, str)):
+        raise MalformedRowError(f"line {line_no}: user or item id is not a string")
     if not user or not item:
         raise MalformedRowError(f"line {line_no}: empty user or item id")
     if isinstance(rating, bool) or isinstance(timestamp, bool):
@@ -270,12 +281,12 @@ def csv_logs(draw):
     return out.getvalue()
 
 
-JSON_CLEAN = {"reviewerID": ["u1", "A,B", "3.5", 3.5, 12, -4],
-              "asin": ["i1", "x", 7, 1.5],
+JSON_CLEAN = {"reviewerID": ["u1", "A,B", "3.5", "12", "-4"],
+              "asin": ["i1", "x", "7", "1.5"],
               "overall": [0, 5, 7, -2, 1.5, 0.0, 5.0, 5.01, -0.5, "3.5", True],
               "unixReviewTime": [0, 12, "12", 1.5, True]}
-JSON_MESSY = {"reviewerID": ["", None, True, False, ["x"]],
-              "asin": ["", None, True, False, ["x"]],
+JSON_MESSY = {"reviewerID": ["", None, True, False, ["x"], 3.5, 12, -4],
+              "asin": ["", None, True, False, ["x"], 7, 1.5],
               "overall": [float("nan"), float("inf"), "x", "", None],
               "unixReviewTime": [-2, "x", "1.5", float("nan"), float("inf"), None]}
 

@@ -1,6 +1,10 @@
+import concurrent.futures
 import math
+import multiprocessing
 import pickle
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,7 +379,7 @@ SWEEP = dict(methods=["tgt", "cmf", "emcdr", "ptupcdr"], betas=[0.2, 0.4], seeds
 
 
 def test_suite_parallel_matches_serial(tmp_path):
-    # the parallel path runs every plan alone in a worker and shares nothing
+    # the parallel path runs each group of plans in a worker, as the serial path runs it
     plans = sweep_plans(_fast_plan(), **SWEEP)
     for name, parallelism in (("serial", 1), ("parallel", 2)):
         write_suite_json(run_suite(plans, parallelism=parallelism, record_runtime=False),
@@ -429,6 +433,71 @@ def test_suite_loads_splits_and_pretrains_once_per_group(tmp_path, monkeypatch):
     assert calls["make_split"] == groups
     # tgt pre-trains the target model, emcdr the source model; ptupcdr reuses both
     assert calls["pretrain"] == ["ti", "si"] * groups
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched functions only when forked")
+def test_suite_workers_load_and_pretrain_once_per_group(tmp_path, monkeypatch):
+    src, tgt, _ = generate_synthetic(_fast_suite_spec(), 0)
+    _write_log(src, tmp_path / "src.csv")
+    _write_log(tgt, tmp_path / "tgt.csv")
+    calls = tmp_path / "calls.txt"  # every worker appends a line per call
+    load_domain, pretrain = pipeline.load_domain, pipeline.pretrain
+
+    def logged(line):
+        with open(calls, "a") as f:
+            f.write(line + "\n")
+
+    def counted_load(path, fmt=None):
+        logged(f"load_domain {Path(path).name}")
+        return load_domain(path, fmt)
+
+    def counted_pretrain(dataset, *args):
+        logged(f"pretrain {dataset.items.external(0)[:2]}")
+        return pretrain(dataset, *args)
+
+    monkeypatch.setattr(pipeline, "load_domain", counted_load)
+    monkeypatch.setattr(pipeline, "pretrain", counted_pretrain)
+    base = replace(_fast_plan(), task=AmazonTask(str(tmp_path / "src.csv"),
+                                                 str(tmp_path / "tgt.csv")))
+    rows = run_suite(sweep_plans(base, **SWEEP), parallelism=2, record_runtime=False)
+    assert all(r["stage"] in ("cold", "warm") for r in rows)
+    groups = len(SWEEP["betas"]) * len(SWEEP["seeds"])
+    assert Counter(calls.read_text().splitlines()) == {
+        "load_domain src.csv": groups, "load_domain tgt.csv": groups,
+        "pretrain ti": groups, "pretrain si": groups}
+
+
+@pytest.mark.parametrize("seeds, parallelism, workers", [
+    ([0], 64, 1),        # one group
+    ([0, 1, 2], 64, 3),  # three groups
+    ([0, 1, 2], 2, 2),
+])
+def test_suite_pool_has_no_more_workers_than_groups(monkeypatch, seeds, parallelism, workers):
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: runs each job when submitted, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    plans = sweep_plans(_fast_plan(), methods=["tgt", "emcdr"], seeds=seeds)
+    rows = run_suite(plans, parallelism=parallelism, record_runtime=False)
+    assert sizes == [workers]
+    assert rows == run_suite(plans, record_runtime=False)
 
 
 @pytest.mark.parametrize("base_model, finetune_items",
