@@ -7,16 +7,14 @@ shared-embedding baselines.
 """
 
 from .bridge import (CharacteristicEncoder, ColdSourceUserError, MetaNetwork,
-                     apply_bridge, attention_scores, build_context,
-                     encode_characteristic, generate_bridge,
-                     mapping_oriented_loss, task_oriented_loss,
+                     build_context, mapping_oriented_loss, task_oriented_loss,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_user, transform_users)
 from .data import (DomainDataset, IdMap, MalformedRowError, SplitPlan,
                    build_sequences, dataset_from_columns, load_domain,
                    make_split, overlap_users, verify_split)
 from .models import (CmfModel, DomainModel, TrainConfig, cmf_train, pretrain,
-                     score, user_representation)
+                     user_representation)
 from .nn import Adam, TrainRecord, TwoLayerNet, fit, grad_check, softmax
 from .pipeline import (AmazonTask, ExperimentPlan, MetricsReport, PlantedTruth,
                        SyntheticSpec, SyntheticTask, compute_metrics,

@@ -36,31 +36,30 @@ class ColdSourceUserError(ValueError):
 
 
 class CharacteristicEncoder:
-    """Attention net (k -> hidden -> 1) that pools item embeddings into one vector.
+    """Attention net (k -> k -> 1) that pools item embeddings into one vector.
 
     Sequences longer than ``max_seq_len`` keep only the most recent items;
     max_seq_len=None disables the cap.
     """
 
-    def __init__(self, k: int, hidden: int | None = None, max_seq_len: int | None = 20,
-                 activation: str = "relu", rng: np.random.Generator | None = None):
+    def __init__(self, k: int, max_seq_len: int | None = 20, activation: str = "relu",
+                 rng: np.random.Generator | None = None):
         if max_seq_len is not None and max_seq_len < 1:
             raise ValueError(f"max_seq_len must be None or >= 1, got {max_seq_len}")
         self.k = k
         self.max_seq_len = max_seq_len
-        self.net = TwoLayerNet(k, hidden or k, 1, activation, rng)
+        self.net = TwoLayerNet(k, k, 1, activation, rng)
 
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
 
 
 class MetaNetwork:
-    """Net (k -> hidden -> k*k) whose output is the parameter vector of one bridge."""
+    """Net (k -> 2k -> k*k) whose output is the parameter vector of one bridge."""
 
-    def __init__(self, k: int, hidden: int | None = None, activation: str = "relu",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, k: int, activation: str = "relu", rng: np.random.Generator | None = None):
         self.k = k
-        self.net = TwoLayerNet(k, hidden or 2 * k, k * k, activation, rng)
+        self.net = TwoLayerNet(k, 2 * k, k * k, activation, rng)
 
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
@@ -89,41 +88,6 @@ def _attention(enc: CharacteristicEncoder, seqs, table=None):
         raise ValueError("softmax input must be finite")
     z = np.exp(scores - scores.max(axis=1, keepdims=True))
     return X, z / z.sum(axis=1, keepdims=True), cache_h
-
-
-def attention_scores(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
-    """Normalized weights over the (truncated) item sequence; positive, sum to 1.
-
-    Each raw score depends only on its own item embedding; normalization is
-    per sequence.
-    """
-    return _attention(enc, [np.atleast_2d(item_embs)])[1][0]
-
-
-def encode_characteristic(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
-    """Attention-weighted sum of the item embeddings (lies in their convex hull)."""
-    X, a, _ = _attention(enc, [np.atleast_2d(item_embs)])
-    return a[0] @ X[0]
-
-
-def generate_bridge(meta: MetaNetwork, p: np.ndarray) -> np.ndarray:
-    """Emit one k x k bridge matrix (row-major reshape of the net output)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (meta.k,):
-        raise ValueError(f"characteristic vector has shape {p.shape}, expected ({meta.k},)")
-    w = meta.net.forward(p)
-    return w.reshape(meta.k, meta.k)
-
-
-def apply_bridge(bridge: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Transform a user representation: plain matrix-vector product, no bias."""
-    bridge = np.asarray(bridge, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if bridge.ndim != 2 or bridge.shape[0] != bridge.shape[1]:
-        raise ValueError(f"bridge must be square, got shape {bridge.shape}")
-    if u.shape != (bridge.shape[1],):
-        raise ValueError(f"vector shape {u.shape} does not match bridge {bridge.shape}")
-    return bridge @ u
 
 
 @dataclass
@@ -392,10 +356,8 @@ def load_bridge_nets(prefix):
     if info.get("kind") != "bridge_nets":
         raise ValueError(f"checkpoint at {prefix} is not a bridge checkpoint")
     k = info["k"]
-    enc = CharacteristicEncoder(k, hidden=len(np.atleast_1d(tensors.get("enc.b1", ()))),
-                                max_seq_len=info.get("max_seq_len"),
+    enc = CharacteristicEncoder(k, max_seq_len=info.get("max_seq_len"),
                                 activation=info.get("enc_activation", "relu"))
-    meta = MetaNetwork(k, hidden=len(np.atleast_1d(tensors.get("meta.b1", ()))),
-                       activation=info.get("meta_activation", "relu"))
+    meta = MetaNetwork(k, activation=info.get("meta_activation", "relu"))
     checkpoint.copy_into(_namespaced(enc.params(), meta.params()), tensors, prefix)
     return enc, meta

@@ -10,6 +10,7 @@ checkpoint is written as it always was. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,28 @@ def save_tensors(prefix, tensors: dict[str, np.ndarray], meta: dict | None = Non
             f.write(a.data)  # the array's own buffer: no copy
 
 
+def _entries(manifest, prefix) -> list[tuple[str, tuple[int, ...], np.dtype]]:
+    """(name, shape, dtype) of each tensor a parsed manifest lists; a manifest
+    that is not an object with a ``tensors`` list and a ``meta`` object, or an
+    entry without a string name, a list of non-negative int sizes and a known
+    dtype, is a ValueError."""
+    tensors = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(tensors, list) or not isinstance(manifest.get("meta", {}), dict):
+        raise ValueError(f"checkpoint manifest at {prefix} is not an object with a tensor "
+                         "list and a meta object")
+    entries = []
+    for entry in tensors:
+        e = entry if isinstance(entry, dict) else {}
+        name, shape, dtype = e.get("name"), e.get("shape"), e.get("dtype", manifest.get("dtype"))
+        if (type(name) is not str or type(shape) is not list
+                or not all(type(n) is int and n >= 0 for n in shape)
+                or dtype not in (DTYPE, INT_DTYPE)):
+            raise ValueError(f"checkpoint manifest at {prefix} has a malformed tensor entry "
+                             f"{entry!r}")
+        entries.append((name, tuple(shape), np.dtype(dtype)))
+    return entries
+
+
 def load_tensors(prefix):
     """Load a checkpoint; returns (tensors, meta)."""
     prefix = Path(prefix)
@@ -46,16 +69,15 @@ def load_tensors(prefix):
         if not p.exists():
             raise FileNotFoundError(f"missing checkpoint artifact: {p}")
     manifest = json.loads(manifest_path.read_text())
-    entries = [(e["name"], tuple(e["shape"]), np.dtype(e.get("dtype", manifest["dtype"])))
-               for e in manifest["tensors"]]
-    expected = sum(int(np.prod(shape)) * dtype.itemsize for _, shape, dtype in entries)
+    entries = _entries(manifest, prefix)
+    expected = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
     size = blob_path.stat().st_size
     if size != expected:
         raise ValueError(f"checkpoint blob size {size} does not match manifest "
                          f"({expected} expected)")
     # each tensor is read straight into its own array: no whole-blob buffer, no copy
     with open(blob_path, "rb") as f:
-        tensors = {name: np.fromfile(f, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
+        tensors = {name: np.fromfile(f, dtype=dtype, count=math.prod(shape)).reshape(shape)
                    for name, shape, dtype in entries}
     return tensors, manifest.get("meta", {})
 

@@ -223,6 +223,8 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
             raise ConfigError(f"missing checkpoint artifact for {name}: {exc}") from None
         except KeyError as exc:
             raise ConfigError(f"checkpoint manifest for {name} lacks the key {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
         if (model.head, model.k) != (plan.base_model, plan.k):
             raise ConfigError(f"{name} checkpoint has base_model {model.head!r} and k {model.k}, "
                               f"but the config asks for base_model {plan.base_model!r} "

@@ -135,6 +135,8 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
         ts = int(timestamp)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRowError(f"line {line_no}: {exc}") from None
+    if type(timestamp) is float and ts != timestamp:  # int() would drop a json 1.5's fraction
+        raise MalformedRowError(f"line {line_no}: timestamp {timestamp!r} is not a whole number")
     if not math.isfinite(r):
         raise MalformedRowError(f"line {line_no}: non-finite rating")
     if ts < 0:

@@ -120,14 +120,6 @@ def predict_batch(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarray
     return np.einsum("bk,bk->b", A, B)
 
 
-def score(model: DomainModel, user: int, item: int) -> float:
-    """Predicted rating of one (user, item) pair."""
-    if not (0 <= user < model.n_users and 0 <= item < model.n_items):
-        raise IndexError(f"user {user} or item {item} out of range "
-                         f"({model.n_users} users, {model.n_items} items)")
-    return float(predict_batch(model, np.asarray([user]), np.asarray([item]))[0])
-
-
 def user_representation(model: DomainModel, user: int) -> np.ndarray:
     """The vector a bridge transforms: the embedding row, or the user-tower output."""
     if not 0 <= user < model.n_users:

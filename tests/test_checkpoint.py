@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,3 +73,23 @@ def test_truncated_blob_raises(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_tensors(tmp_path / "t")
+
+
+def _with_entry(**fields):
+    return lambda m: {**m, "tensors": [{**m["tensors"][0], **fields}]}
+
+
+@pytest.mark.parametrize("edit", [
+    _with_entry(shape=["4", "3"]), _with_entry(shape=[4, -1]), _with_entry(shape=[4.0, 3]),
+    _with_entry(shape=[True, 3]), _with_entry(shape=12), _with_entry(name=5),
+    _with_entry(dtype="<f4"), lambda m: {**m, "tensors": [{"shape": [4, 3]}]},
+    lambda m: {**m, "tensors": 5}, lambda m: {**m, "tensors": [5]}, lambda m: {"meta": {}},
+    lambda m: {**m, "meta": 3}, lambda m: [m],
+], ids=["shape-str", "shape-negative", "shape-float", "shape-bool", "shape-int", "name-int",
+        "dtype", "no-name", "tensors-int", "entry-int", "no-tensors", "meta-int", "list"])
+def test_malformed_manifest_is_a_value_error_naming_the_checkpoint(tmp_path, edit):
+    save_tensors(tmp_path / "ckpt", {"w": np.zeros((4, 3))})
+    manifest = tmp_path / "ckpt.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "ckpt"))):
+        load_tensors(tmp_path / "ckpt")

@@ -314,6 +314,17 @@ def test_meta_only_rejects_a_missing_or_truncated_domain_checkpoint(tmp_path, ca
     _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))], message)
 
 
+@pytest.mark.parametrize("name", ["src_model", "tgt_model"])
+def test_meta_only_names_a_truncated_model_checkpoint(tmp_path, capsys, checkpointed, name):
+    cfg, ckpt, _ = checkpointed["files"]
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    blob = copy / f"{name}.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
+              f"{name} checkpoint in {copy} is unreadable: checkpoint blob size")
+
+
 @pytest.mark.parametrize("command", ["run", "export"])
 @pytest.mark.parametrize("kind, overrides, flags, asked", [
     ("files", {"seed": 4}, [], "beta 0.2 and seed 4"),

@@ -158,6 +158,8 @@ def _ref_parse_fields(user, item, rating, timestamp, line_no):
         ts = int(timestamp)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRowError(f"line {line_no}: {exc}") from None
+    if isinstance(timestamp, float) and not timestamp.is_integer():
+        raise MalformedRowError(f"line {line_no}: timestamp {timestamp!r} is not a whole number")
     if not np.isfinite(r):
         raise MalformedRowError(f"line {line_no}: non-finite rating")
     if ts < 0:
@@ -284,11 +286,11 @@ def csv_logs(draw):
 JSON_CLEAN = {"reviewerID": ["u1", "A,B", "3.5", "12", "-4"],
               "asin": ["i1", "x", "7", "1.5"],
               "overall": [0, 5, 7, -2, 1.5, 0.0, 5.0, 5.01, -0.5, "3.5", True],
-              "unixReviewTime": [0, 12, "12", 1.5, True]}
+              "unixReviewTime": [0, 12, "12", 1e3, True]}
 JSON_MESSY = {"reviewerID": ["", None, True, False, ["x"], 3.5, 12, -4],
               "asin": ["", None, True, False, ["x"], 7, 1.5],
               "overall": [float("nan"), float("inf"), "x", "", None],
-              "unixReviewTime": [-2, "x", "1.5", float("nan"), float("inf"), None]}
+              "unixReviewTime": [-2, "x", "1.5", 1.5, float("nan"), float("inf"), None]}
 
 
 @st.composite
@@ -510,6 +512,31 @@ def test_timestamp_beyond_int64_is_malformed(tmp_path, fmt):
     with pytest.raises(MalformedRowError, match=f"^line {line}: timestamp 99999999999999999999 "
                                                 "exceeds the int64 range$"):
         load_domain(path)
+
+
+@pytest.mark.parametrize("fmt, whole, error", [
+    ("csv", "12", "line 4: invalid literal for int() with base 10: '1.5'"),
+    ("jsonl", "1e3", "line 3: timestamp 1.5 is not a whole number"),
+])
+def test_timestamp_with_a_fraction_is_malformed(tmp_path, fmt, whole, error):
+    # int() alone would load a json 1.5 as 1; a whole json float such as 1e3 stays valid
+    path = tmp_path / f"log.{fmt}"
+
+    def write(timestamps):
+        if fmt == "csv":
+            path.write_text("user,item,rating,timestamp\n"
+                            + "".join(f"A{n},B{n},4.0,{t}\n" for n, t in enumerate(timestamps)))
+        else:
+            path.write_text("".join(f'{{"reviewerID": "A{n}", "asin": "B{n}", "overall": 4.0, '
+                                    f'"unixReviewTime": {t}}}\n'
+                                    for n, t in enumerate(timestamps)))
+
+    write(["1", whole])
+    assert load_domain(path).timestamp.tolist() == [1, int(float(whole))]
+    write(["1", whole, "1.5"])
+    with pytest.raises(MalformedRowError) as exc:
+        load_domain(path)
+    assert str(exc.value) == error
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import pytest
 from bridgerec.data import IdMap, dataset_from_columns, filter_to_indices, make_split
 from bridgerec.models import (HEADS, DomainModel, TrainConfig, cmf_train, dot_mse,
                               item_scoring_vectors, load_model, loss_and_grads,
-                              predict_batch, pretrain, save_model, score,
+                              predict_batch, pretrain, save_model,
                               user_representation, user_representations)
 from bridgerec.nn import RowGrad, fit, grad_check, table_grad, uniform_init
 from bridgerec.pipeline import SyntheticSpec, generate_synthetic
 from conftest import edit_checkpoint, make_dataset
+from reference import score
 
 
 def _model(head, n_users=4, n_items=6, k=2, seed=0):

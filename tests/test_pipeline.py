@@ -375,6 +375,22 @@ def test_suite_records_failures_and_continues(tmp_path):
     assert len(ok) == 2
 
 
+def test_suite_float_cells_and_attention_file_names_keep_their_digits(tmp_path):
+    # under :g, 123456.5 printed as 123456, 1234567.0 as 1.23457e+06, and both
+    # betas below named one attention file, beta0.123456
+    rows = [{"task": "t", "beta": 0.1234561, "method": "tgt", "stage": "cold", "seed": "mean",
+             "mae": 0.5, "rmse": 0.5, "n_eval": n, "runtime_s": 0.0}
+            for n in (123456.5, 1234567.0)]
+    write_suite_csv(rows, tmp_path / "suite.csv")
+    cells = [line.split(",") for line in (tmp_path / "suite.csv").read_text().splitlines()[1:]]
+    assert [(c[1], c[7]) for c in cells] == [("0.1234561", "123456.5"), ("0.1234561", "1234567")]
+    plans = [_fast_plan("ptupcdr", beta=beta) for beta in (0.1234561, 0.1234562)]
+    (tmp_path / "attention").mkdir()
+    run_suite(plans, record_runtime=False, attention_dir=tmp_path / "attention")
+    assert sorted(p.name for p in (tmp_path / "attention").iterdir()) == [
+        "attention_ptupcdr_beta0.1234561.csv", "attention_ptupcdr_beta0.1234562.csv"]
+
+
 SWEEP = dict(methods=["tgt", "cmf", "emcdr", "ptupcdr"], betas=[0.2, 0.4], seeds=[0, 1])
 
 

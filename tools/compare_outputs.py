@@ -23,12 +23,14 @@ seeds, with ``--export-attention``) serially into OUT_DIR/<side>/suite-serial
 and with ``--parallel 2`` into OUT_DIR/<side>/suite-parallel. The script
 prints every file that differs or exists on one side only, and the largest
 difference of any report metric.
-A differing ``report.json`` is printed with the largest difference of its
-metrics, and a differing checkpoint ``.bin`` whose two manifests list the
-same shapes and dtypes with the largest absolute difference of its values,
-each tensor read with the dtype its manifest gives. It
-exits 1 on any difference or failed command, else 0. Passing the same tree
-twice checks that two processes give byte-identical outputs.
+A differing ``report.json`` or ``suite.json`` is printed with the largest
+difference of its rows' mae and rmse (rows of failed plans, which have none,
+are skipped; a different row count reads inf), and a differing checkpoint
+``.bin`` whose two manifests list the same shapes and dtypes with the largest
+absolute difference of its values, each tensor read with the dtype its
+manifest gives. It exits 1 on any difference or failed command, else 0.
+Passing the same tree twice checks that two processes give byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -148,10 +150,13 @@ def files_under(root: Path) -> set[Path]:
 
 
 def max_metric_diff(a: Path, b: Path) -> float:
+    """Largest mae or rmse difference of two report or suite row lists, skipping
+    rows of failed plans; inf when the lists differ in length."""
     rows_a, rows_b = json.loads(a.read_text()), json.loads(b.read_text())
     if len(rows_a) != len(rows_b):
         return float("inf")
     return max((abs(ra[m] - rb[m]) for ra, rb in zip(rows_a, rows_b)
+                if "failed" not in (ra["stage"], rb["stage"])
                 for m in ("mae", "rmse")), default=0.0)
 
 
@@ -208,7 +213,7 @@ def main(argv: list[str]) -> int:
     for rel in sorted(parent_files & change_files):
         if not filecmp.cmp(parent_out / rel, change_out / rel, shallow=False):
             differing.append(rel)
-            if rel.name == "report.json":
+            if rel.name in ("report.json", "suite.json"):
                 drift[rel] = max_metric_diff(parent_out / rel, change_out / rel)
                 worst = max(worst, drift[rel])
             elif rel.suffix == ".bin":
