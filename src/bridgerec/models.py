@@ -145,10 +145,12 @@ def item_scoring_vectors(model: DomainModel) -> np.ndarray:
 
 def dot_mse(U: np.ndarray, V: np.ndarray, ratings: np.ndarray):
     """Mean squared error of the row-wise dot products U[b] . V[b] against
-    ``ratings``, and its gradients: returns (loss, dU, dV)."""
-    pred = np.einsum("bk,bk->b", U, V)
-    g = 2.0 * (pred - ratings) / len(ratings)
-    return float(np.mean((pred - ratings) ** 2)), g[:, None] * V, g[:, None] * U
+    ``ratings``, and its gradient w.r.t. each dot product: returns
+    (loss, d_pred). The side gradients are ``d_pred[:, None] * V`` for U and
+    ``d_pred[:, None] * U`` for V; a caller forms only those it uses."""
+    err = np.einsum("bk,bk->b", U, V) - ratings
+    # np.mean's sum and division, without its dispatch
+    return float(np.add.reduce(err * err)) / len(err), 2.0 * err / len(ratings)
 
 
 def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarray,
@@ -159,11 +161,12 @@ def loss_and_grads(model: DomainModel, user_idx: np.ndarray, item_idx: np.ndarra
     gradients come back as ``RowGrad``s over the batch's rows; ``np.asarray``
     gives their dense tables.
     """
-    A, user_back = _user_side(model, model.users[user_idx])
-    B, item_back = _item_side(model, model.items[item_idx])
-    loss, dA, dB = dot_mse(A, B, ratings)
-    dU, grads = user_back(dA)
-    dV, item_grads = item_back(dB)
+    A, user_back = _user_side(model, np.take(model.users, user_idx, axis=0))
+    B, item_back = _item_side(model, np.take(model.items, item_idx, axis=0))
+    loss, d_pred = dot_mse(A, B, ratings)
+    d_pred = d_pred[:, None]
+    dU, grads = user_back(d_pred * B)
+    dV, item_grads = item_back(d_pred * A)
     grads.update(item_grads)
     grads["users"] = RowGrad(model.users.shape, user_idx, dU)
     grads["items"] = RowGrad(model.items.shape, item_idx, dV)

@@ -57,8 +57,9 @@ class RowGrad:
 
     ``shape`` and ``size`` are the table's, and ``np.asarray`` gives the dense
     gradient ``table_grad`` builds, so code that reads gradients as arrays
-    (``grad_check``) takes either form. ``Adam.step`` adds one to the moments
-    at the touched rows only.
+    (``grad_check``) takes either form. ``Adam.step`` adds a gradient with
+    fewer than a quarter as many entries as the table has rows to the moments
+    at the touched rows only (``summed``), and densifies any other.
     """
 
     __slots__ = ("shape", "idx", "rows")
@@ -164,11 +165,15 @@ class Adam:
     Moment shapes mirror the tracked parameters; ``t`` counts the steps taken.
     ``step`` takes gradients for any subset of the tracked parameters, each an
     array or a ``RowGrad``; untracked names or mismatched shapes are an error.
-    Two scratch arrays per parameter hold the step's temporaries, so a step
-    allocates no array the size of a parameter. A ``RowGrad`` adds its gradient
-    terms to the moments at its touched rows only; that is exact, because
-    elsewhere the dense step would add (1 - beta) * 0.0 to a moment that is
-    never -0.0.
+    Two scratch arrays per parameter hold the step's temporaries. A ``RowGrad``
+    with fewer than rows/4 entries adds its gradient terms to the moments at
+    its touched rows only; any other is scattered into a dense gradient
+    (measured: the row path's mask, compaction and fancy-index adds cost more
+    than the dense passes from about rows/8 entries on small tables and rows/4
+    on tables of thousands of rows). Both are exact and give the same bits:
+    the scatter adds each row's entries in input order as ``summed`` does, and
+    at an untouched row the dense step adds (1 - beta) * 0.0 to a moment that
+    is never -0.0.
     """
 
     # Kingma & Ba (2015) defaults
@@ -204,11 +209,13 @@ class Adam:
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
             m *= self.beta1
             v *= self.beta2
-            if isinstance(g, RowGrad):
+            if isinstance(g, RowGrad) and 4 * len(g.idx) < g.shape[0]:
                 rows, g = g.summed()
                 m[rows] += (1.0 - self.beta1) * g
                 v[rows] += (1.0 - self.beta2) * (g * g)
             else:
+                if isinstance(g, RowGrad):
+                    g = _scatter(g.shape, g.idx, g.rows)
                 m += np.multiply(1.0 - self.beta1, g, out=s)
                 v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=s), out=s)
             # m / 1.0 == m, and c1 rounds to 1.0 from t = 356 at beta1 = 0.9

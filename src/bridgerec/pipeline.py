@@ -490,10 +490,12 @@ def run_warm(plan: ExperimentPlan, cold: ColdRun | None = None) -> MetricsReport
 
     def batch_fn(rows):
         uu, ii = pool_u[rows], pool_i[rows]
-        loss, dE, dQ = dot_mse(E[uu], Q[ii], pool_r[rows])
-        grads = {"E": RowGrad(E.shape, uu, dE)}
+        Eb, Qb = np.take(E, uu, axis=0), np.take(Q, ii, axis=0)
+        loss, d_pred = dot_mse(Eb, Qb, pool_r[rows])
+        d_pred = d_pred[:, None]
+        grads = {"E": RowGrad(E.shape, uu, d_pred * Qb)}
         if plan.finetune_items:
-            grads["Q"] = RowGrad(Q.shape, ii, dQ)
+            grads["Q"] = RowGrad(Q.shape, ii, d_pred * Eb)
         return loss, grads
 
     traces = {"finetune": fit(params, batch_fn, len(pool_r), plan.finetune,
@@ -534,12 +536,12 @@ def _plan_rows(plan: ExperimentPlan, record_runtime: bool, attention_path: Path 
                pretrained: dict | None = None):
     try:
         (cold, t_cold), (warm, t_warm) = run_plan(plan, pretrained)
+        if attention_path is not None:
+            write_attention_csv(cold, attention_path)
     except Exception as exc:  # suite keeps going; the row records the failure
         logger.exception("plan failed: %s %s beta=%s seed=%s",
                          plan.task.label, plan.method, plan.beta, plan.seed)
         return [_failed_row(plan, str(exc))]
-    if attention_path is not None:
-        write_attention_csv(cold, attention_path)
     return [_report_row(plan, cold.report, t_cold, record_runtime),
             _report_row(plan, warm, t_warm, record_runtime)]
 
@@ -594,7 +596,8 @@ def run_suite(plans, parallelism: int = 1, record_runtime: bool = True,
 
     With ``attention_dir``, the first plan of each ptupcdr-family (method,
     beta) writes its cold run's attention weights to
-    ``attention_<method>_beta<beta>.csv`` there.
+    ``attention_<method>_beta<beta>.csv`` there; an export that fails is
+    that plan's failed row.
     """
     if not plans:
         raise ValueError("need at least one plan")

@@ -140,7 +140,9 @@ def test_dot_mse_table_gradients_pass_grad_check():
     r = rng.uniform(0, 5, len(u))
 
     def grads(p):
-        _, dU, dV = dot_mse(p["users"][u], p["items"][i], r)
+        U, V = p["users"][u], p["items"][i]
+        _, d_pred = dot_mse(U, V, r)
+        dU, dV = d_pred[:, None] * V, d_pred[:, None] * U
         return {"users": table_grad(p["users"], u, dU), "items": table_grad(p["items"], i, dV)}
 
     err = grad_check(lambda p: dot_mse(p["users"][u], p["items"][i], r)[0], grads,
@@ -305,7 +307,9 @@ def _reference_cmf_train(src, tgt, k, config, seed):
         V = np.empty((len(batch), k))
         V[~t] = src_items[i[~t]]
         V[t] = tgt_items[i[t]]
-        loss, dU, dV = dot_mse(users[u], V, pool_r[batch])
+        U = users[u]
+        loss, d_pred = dot_mse(U, V, pool_r[batch])
+        dU, dV = d_pred[:, None] * V, d_pred[:, None] * U
         return loss, {"users": table_grad(users, u, dU),
                       "src_items": table_grad(src_items, i[~t], dV[~t]),
                       "tgt_items": table_grad(tgt_items, i[t], dV[t])}

@@ -275,6 +275,31 @@ def test_adam_on_row_gradients_matches_dense_gradients_bit_for_bit():
     assert sparse["table"][6000:].tobytes() == start["table"][6000:].tobytes()
 
 
+@pytest.mark.parametrize("below", [True, False], ids=["row_path", "dense_path"])
+def test_adam_density_rule_matches_dense_gradients_bit_for_bit(below, monkeypatch):
+    # a gradient of 4 * b >= rows entries is densified; one fewer keeps the row path
+    n_rows = 701
+    threshold = -(-n_rows // 4)  # 176, the least b with 4 * b >= 701
+    b = threshold - 1 if below else threshold
+    summed_calls = []
+    summed = RowGrad.summed
+    monkeypatch.setattr(RowGrad, "summed", lambda g: summed_calls.append(1) or summed(g))
+    rng = np.random.default_rng(8)
+    start = rng.normal(size=(n_rows, 10))
+    rowwise, dense = {"table": start.copy()}, {"table": start.copy()}
+    opt_rows, opt_dense = Adam(rowwise, lr=0.01), Adam(dense, lr=0.01)
+    for _ in range(400):
+        idx = rng.integers(0, 600, size=b)
+        idx[:32] = idx[32:64]
+        rows = rng.normal(size=(b, 10)) * 10.0 ** rng.uniform(-8, 8, size=(b, 1))
+        opt_rows.step({"table": RowGrad((n_rows, 10), idx, rows)})
+        opt_dense.step({"table": _add_at_reference((n_rows, 10), idx, rows)})
+    assert len(summed_calls) == (400 if below else 0)
+    for got, want in ((rowwise, dense), (opt_rows.m, opt_dense.m), (opt_rows.v, opt_dense.v)):
+        assert got["table"].tobytes() == want["table"].tobytes()
+    assert rowwise["table"][600:].tobytes() == start[600:].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

@@ -375,6 +375,14 @@ def test_suite_records_failures_and_continues(tmp_path):
     assert len(ok) == 2
 
 
+def test_suite_attention_export_that_fails_is_its_plans_failed_row(tmp_path):
+    plans = [_fast_plan("tgt"), _fast_plan("ptupcdr")]
+    rows = run_suite(plans, record_runtime=False, attention_dir=tmp_path / "missing")
+    assert [(r["method"], r["stage"]) for r in rows] == [
+        ("tgt", "cold"), ("tgt", "warm"), ("ptupcdr", "failed")]
+    assert "missing" in rows[2]["error"]
+
+
 def test_suite_float_cells_and_attention_file_names_keep_their_digits(tmp_path):
     # under :g, 123456.5 printed as 123456, 1234567.0 as 1.23457e+06, and both
     # betas below named one attention file, beta0.123456

@@ -9,8 +9,12 @@ and then ``export``, with BLAS pinned to one thread, writing into
 OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The cmf-small_batch
 config trains on batches of 16 and 8, so most table rows go untouched on each
 step and both Adam stages run past step 356, where the first bias correction
-rounds to exactly 1.0. Two configs read rating
-logs (csv + csv and csv + json-lines) that the script writes once into
+rounds to exactly 1.0. ``Adam`` densifies a row gradient with at least a
+quarter as many entries as its table has rows, so warm fine-tuning's ``E``
+and ``Q`` take the dense path in every other config; the
+ptupcdr-finetune_items-small_batch config fine-tunes on batches of 2, which
+keeps its ``E`` (28 rows) and ``Q`` (80 rows) on the row path. Two configs
+read rating logs (csv + csv and csv + json-lines) that the script writes once into
 OUT_DIR/logs from a fixed world. The emcdr, ptupcdr and
 ptupcdr_mapping_ablation mf configs and the ptupcdr csv + csv config run a
 second time as <config>-meta_only, with ``stage: meta_only`` reading the
@@ -89,6 +93,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
         for base_model in ("gmf", "two_tower"):
             configs[f"{method}-{base_model}"] = {"method": method, "base_model": base_model}
     configs["ptupcdr-finetune_items"] = {"method": "ptupcdr", "finetune_items": True}
+    configs["ptupcdr-finetune_items-small_batch"] = {
+        "method": "ptupcdr", "finetune_items": True,
+        "finetune": {**BASE["finetune"], "batch_size": 2}}
     configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "activation": "tanh"}
     configs["ptupcdr-two_tower-tanh"] = {"method": "ptupcdr", "base_model": "two_tower",
                                          "activation": "tanh"}
