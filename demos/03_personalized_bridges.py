@@ -38,8 +38,8 @@ for method in ("tgt", "emcdr", "ptupcdr"):
 # peek inside the personalization machinery for one cold-start user
 enc, ctx = keep.artifacts["enc"], keep.artifacts["ctx"]
 user = keep.split.test_users[0]
-rows = attention_table(enc, ctx, [keep.src.users.index(user)])  # (user, item, weight)
+_, items, weights = attention_table(enc, ctx, [keep.src.users.index(user)])  # columns
 print(f"\nmost influential source items for cold user {user}:")
-for _, item, weight in sorted(rows, key=lambda row: row[2], reverse=True)[:5]:
-    print(f"  {keep.src.items.external(item):12s} weight {weight:.3f}")
+for j in np.argsort(-weights, kind="stable")[:5]:
+    print(f"  {keep.src.items.external(items[j]):12s} weight {weights[j]:.3f}")
 print("bridged target representation:", np.round(keep.init[keep.split.test_users.index(user)], 3))

@@ -331,16 +331,19 @@ def transform_user(enc: CharacteristicEncoder, meta: MetaNetwork,
 
 
 def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,
-                    src_users) -> list[tuple[int, int, float]]:
-    """(user, item, weight) rows for export; items are the truncated sequence."""
+                    src_users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (user index, item index, weight) for export, one row per item of each
+    user's truncated sequence; users without a sequence are left out."""
     users = [int(u) for u in src_users if len(ctx.sequences.get(int(u), ())) > 0]
-    rows = []
+    seqs = [_truncated(enc, ctx.sequences[u]) for u in users]
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    weights = [np.empty(0)]  # empty first pieces keep the dtypes when no user is left
     for start in range(0, len(users), BLOCK_USERS):
-        block = users[start:start + BLOCK_USERS]
-        seqs = [_truncated(enc, ctx.sequences[u]) for u in block]
-        _, a, _ = _attention(enc, seqs, ctx.item_reprs)
-        rows += [(u, int(i), float(w)) for u, s, ws in zip(block, seqs, a) for i, w in zip(s, ws)]
-    return rows
+        block = slice(start, start + BLOCK_USERS)
+        _, a, _ = _attention(enc, seqs[block], ctx.item_reprs)
+        weights.append(a[np.arange(a.shape[1]) < lens[block, None]])
+    return (np.repeat(np.asarray(users, dtype=np.int64), lens),
+            np.concatenate([np.empty(0, np.int64), *seqs]), np.concatenate(weights))
 
 
 def save_bridge_nets(prefix, enc: CharacteristicEncoder, meta: MetaNetwork) -> None:

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,12 @@ CSV_FIELDS = ("user", "item", "rating", "timestamp")
 # Amazon review export schema
 JSONL_FIELDS = {"user": "reviewerID", "item": "asin",
                 "rating": "overall", "timestamp": "unixReviewTime"}
-# the tensors of a saved dataset, in DomainDataset field order
+# the tensors of a saved dataset, in DomainDataset field order, and their dtypes
 DATASET_COLUMNS = ("user_idx", "item_idx", "rating", "timestamp")
+DATASET_DTYPES = (np.int64, np.int64, np.float64, np.int64)
+# a log becomes columns this many rows at a time, so only one chunk of rows is
+# ever held as Python objects
+CHUNK_ROWS = 256
 _HASH_BLOCK = 1 << 16  # a log is hashed in blocks of this many bytes, never read whole
 
 
@@ -45,9 +50,11 @@ class IdMap:
 
     __slots__ = ("forward", "backward")
 
-    def __init__(self):
-        self.forward: dict[str, int] = {}
-        self.backward: list[str] = []
+    def __init__(self, forward: dict[str, int] | None = None):
+        """An empty map, or one that takes over ``forward``, whose indices must be
+        0, 1, ... in insertion order (as first-seen interning gives)."""
+        self.forward: dict[str, int] = {} if forward is None else forward
+        self.backward: list[str] = list(self.forward)
 
     @classmethod
     def from_ids(cls, ids) -> "IdMap":
@@ -102,21 +109,28 @@ class DomainDataset:
         return len(self.items)
 
 
+def dataset_from_codes(user_ids: dict[str, int], item_ids: dict[str, int], user_idx, item_idx,
+                       ratings, timestamps, rejected: int = 0) -> DomainDataset:
+    """Build a dataset from id dicts in first-seen order (each id -> its index, as
+    ``_intern`` fills them) and four equal-length columns; the id maps take the
+    dicts over."""
+    columns = (np.asarray(c, dtype=d) for c, d in
+               zip((user_idx, item_idx, ratings, timestamps), DATASET_DTYPES))
+    return DomainDataset(IdMap(user_ids), IdMap(item_ids), *columns,
+                         rejected_out_of_range=rejected)
+
+
+def _intern(ids: dict[str, int], column) -> np.ndarray:
+    """Indices of ``column``'s ids; an id not yet in ``ids`` gets the next index."""
+    return np.asarray([ids.setdefault(x, len(ids)) for x in column], dtype=np.int64)
+
+
 def dataset_from_columns(users, items, ratings, timestamps, rejected: int = 0) -> DomainDataset:
     """Build a dataset from four equal-length columns, assigning ids in first-seen order."""
     user_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
-    user_idx = [user_ids.setdefault(u, len(user_ids)) for u in users]
-    item_idx = [item_ids.setdefault(i, len(item_ids)) for i in items]
-    return DomainDataset(
-        users=IdMap.from_ids(user_ids),
-        items=IdMap.from_ids(item_ids),
-        user_idx=np.asarray(user_idx, dtype=np.int64),
-        item_idx=np.asarray(item_idx, dtype=np.int64),
-        rating=np.asarray(ratings, dtype=np.float64),
-        timestamp=np.asarray(timestamps, dtype=np.int64),
-        rejected_out_of_range=rejected,
-    )
+    return dataset_from_codes(user_ids, item_ids, _intern(user_ids, users),
+                              _intern(item_ids, items), ratings, timestamps, rejected)
 
 
 def _parse_fields(user, item, rating, timestamp, line_no: int):
@@ -146,41 +160,76 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
     return user, item, r, ts
 
 
-def _iter_csv(path: Path):
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            return  # zero-byte file: empty dataset
-        # a repeated column name keeps its last position, as in csv.DictReader
-        col = {name: pos for pos, name in enumerate(header)}
-        missing = [c for c in CSV_FIELDS if c not in col]
-        if missing:
-            raise MalformedRowError(f"line 1: header missing columns {missing}")
-        u, i, r, t = (col[c] for c in CSV_FIELDS)
-        width = max(u, i, r, t) + 1
-        for row in reader:
-            if not row:
-                continue  # blank row
-            if len(row) < width:  # short row: its last fields are missing
-                row += [None] * (width - len(row))
-            yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
+def _iter_csv(lines):
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        return  # zero-byte file: empty dataset
+    # a repeated column name keeps its last position, as in csv.DictReader
+    col = {name: pos for pos, name in enumerate(header)}
+    missing = [c for c in CSV_FIELDS if c not in col]
+    if missing:
+        raise MalformedRowError(f"line 1: header missing columns {missing}")
+    u, i, r, t = (col[c] for c in CSV_FIELDS)
+    width = max(u, i, r, t) + 1
+    for row in reader:
+        if not row:
+            continue  # blank row
+        if len(row) < width:  # short row: its last fields are missing
+            row += [None] * (width - len(row))
+        yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
 
 
-def _iter_jsonl(path: Path):
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRowError(f"line {line_no}: {exc}") from None
-            if not isinstance(rec, dict):
-                raise MalformedRowError(f"line {line_no}: expected a JSON object")
-            yield _parse_fields(rec.get(JSONL_FIELDS["user"]), rec.get(JSONL_FIELDS["item"]),
-                                rec.get(JSONL_FIELDS["rating"]), rec.get(JSONL_FIELDS["timestamp"]),
-                                line_no)
+def _iter_jsonl(lines):
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRowError(f"line {line_no}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise MalformedRowError(f"line {line_no}: expected a JSON object")
+        yield _parse_fields(rec.get(JSONL_FIELDS["user"]), rec.get(JSONL_FIELDS["item"]),
+                            rec.get(JSONL_FIELDS["rating"]), rec.get(JSONL_FIELDS["timestamp"]),
+                            line_no)
+
+
+def _utf8_lines(f):
+    """The lines of ``f``, opened with errors="surrogateescape"; a line holding a
+    byte that is not UTF-8 raises MalformedRowError naming it."""
+    for line_no, line in enumerate(f, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise MalformedRowError(f"line {line_no}: byte 0x{byte:02x} is not UTF-8") from None
+        yield line
+
+
+def _coded_chunk(rows, user_ids: dict[str, int], item_ids: dict[str, int]):
+    """The next CHUNK_ROWS parsed rows as pieces of the four dataset columns, with
+    ids interned into ``user_ids`` and ``item_ids`` and ratings outside [0, 5]
+    dropped, and the number dropped; None once ``rows`` is exhausted. Only these
+    rows are ever alive as Python objects."""
+    chunk = list(islice(rows, CHUNK_ROWS))
+    if not chunk:
+        return None
+    users, items, ratings, timestamps = zip(*chunk)
+    rating = np.array(ratings, dtype=np.float64)
+    keep = (rating >= RATING_MIN) & (rating <= RATING_MAX)
+    kept = keep.tolist()
+    pieces = (_intern(user_ids, compress(users, kept)), _intern(item_ids, compress(items, kept)),
+              rating[keep], np.array(timestamps, dtype=np.int64)[keep])
+    return pieces, len(kept) - int(np.count_nonzero(keep))
+
+
+def _joined(pieces: list, dtype) -> np.ndarray:
+    """The concatenation of ``pieces``, which it empties, so that only one column
+    is ever held twice."""
+    out = np.concatenate(pieces) if pieces else np.empty(0, dtype)
+    pieces.clear()
+    return out
 
 
 def resolve_format(path, fmt: str | None) -> str:
@@ -208,25 +257,39 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     ``fmt`` is "csv" (header user,item,rating,timestamp) or "jsonl" (also
     "json-lines" or "json_lines": reviewerID/asin/overall/unixReviewTime
     records, one per line); when None it is inferred from the file suffix.
-    Malformed rows raise MalformedRowError naming the line; ratings outside
-    [0, 5] are dropped and counted in ``rejected_out_of_range``.
+    The log is read as UTF-8. A malformed row, or a line that is not UTF-8,
+    raises MalformedRowError naming the line; ratings outside [0, 5] are
+    dropped and counted in ``rejected_out_of_range``. Rows become columns
+    CHUNK_ROWS at a time, ids interned in first-seen order as they stream.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     fmt = resolve_format(path, fmt)
 
-    columns = users, items, ratings, timestamps = [], [], [], []
+    parse, newline = (_iter_csv, "") if fmt == "csv" else (_iter_jsonl, None)
+    user_ids: dict[str, int] = {}
+    item_ids: dict[str, int] = {}
+    columns = ([], [], [], [])  # per-chunk pieces of each dataset column
     rejected = 0
-    for user, item, r, ts in _iter_csv(path) if fmt == "csv" else _iter_jsonl(path):
-        if RATING_MIN <= r <= RATING_MAX:
-            users.append(user)
-            items.append(item)
-            ratings.append(r)
-            timestamps.append(ts)
-        else:
-            rejected += 1
-    ds = dataset_from_columns(*columns, rejected)
+    with open(path, encoding="utf-8", newline=newline) as f:
+        rows = parse(f)
+        try:
+            while (coded := _coded_chunk(rows, user_ids, item_ids)) is not None:
+                pieces, dropped = coded
+                rejected += dropped
+                for column, piece in zip(columns, pieces):
+                    column.append(piece)
+        except UnicodeDecodeError:
+            # The decoder reads a buffer of lines at a time, so its error names no line
+            # and comes before the rows ahead of it in the buffer are parsed. Parsing
+            # again line by line raises the first bad line's MalformedRowError.
+            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as g:
+                for _ in parse(_utf8_lines(g)):
+                    pass
+            raise
+    ds = dataset_from_codes(user_ids, item_ids,
+                            *(_joined(c, d) for c, d in zip(columns, DATASET_DTYPES)), rejected)
     logger.info("loaded %s: %d ratings, %d users, %d items (%d out-of-range rows rejected)",
                 path.name, ds.n_ratings, ds.n_users, ds.n_items, rejected)
     return ds
@@ -259,7 +322,7 @@ def load_dataset(prefix) -> tuple[DomainDataset, dict]:
     if (len(users), len(items)) != (len(meta["users"]), len(meta["items"])):
         raise ValueError(f"domain checkpoint at {prefix} repeats an id")
     if (len({c.shape for c in columns}) != 1 or columns[0].ndim != 1
-            or [c.dtype for c in columns] != [np.int64, np.int64, np.float64, np.int64]):
+            or tuple(c.dtype for c in columns) != DATASET_DTYPES):
         raise ValueError(f"domain checkpoint at {prefix} needs four int64/float64 columns "
                          "of equal length")
     for idx, ids, name in ((columns[0], users, "user"), (columns[1], items, "item")):

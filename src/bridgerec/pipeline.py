@@ -22,8 +22,8 @@ import numpy as np
 from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_context,
                      train_common_bridge, train_meta, train_meta_mapping,
                      transform_users)
-from .data import (FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
-                   build_sequences, dataset_from_columns, filter_to_indices, load_domain,
+from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
+                   build_sequences, dataset_from_codes, filter_to_indices, load_domain,
                    log_source, make_split)
 from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
@@ -239,23 +239,26 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
 
     def domain_dataset(prefix, side):
         factors = item_factors[prefix]
-        names = [f"{prefix}{j:05d}" for j in range(len(factors))]
-        columns = user_col, item_col, rating_col, time_col = [], [], [], []
-        for ext, (c, us, ut) in users.items():
-            vec = us if side == "src" else ut
-            if vec is None:
-                continue
-            chosen = _pick_items(rng, factors, vec, spec.ratings_per_user,
-                                 spec.selection_sharpness)
-            r = factors[chosen] @ vec
+        per, col = spec.ratings_per_user, 1 if side == "src" else 2
+        members = {ext: u[col] for ext, u in users.items() if u[col] is not None}
+        chosen = np.empty((len(members), per), dtype=np.int64)
+        rating = np.empty((len(members), per))
+        for row, vec in enumerate(members.values()):
+            chosen[row] = _pick_items(rng, factors, vec, per, spec.selection_sharpness)
+            r = factors[chosen[row]] @ vec
             if spec.noise_sd > 0:
-                r = r + rng.normal(0.0, spec.noise_sd, len(chosen))
-            r = np.clip(r, 0.0, 5.0)
-            user_col.extend([ext] * len(chosen))
-            item_col.extend([names[j] for j in chosen.tolist()])
-            rating_col.extend(r.tolist())
-            time_col.extend(range(len(chosen)))
-        return dataset_from_columns(*columns)
+                r = r + rng.normal(0.0, spec.noise_sd, per)
+            rating[row] = np.clip(r, 0.0, 5.0)
+        # each rated item is named once; codes follow first-seen order, as in a log
+        rated, first = np.unique(chosen, return_index=True)
+        rated = rated[np.argsort(first)]
+        code = np.empty(len(factors), dtype=np.int64)
+        code[rated] = np.arange(len(rated))
+        user_ids = {ext: u for u, ext in enumerate(members)}
+        item_ids = {f"{prefix}{j:05d}": c for c, j in enumerate(rated.tolist())}
+        return dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(members)), per),
+                                  code[chosen].ravel(), rating.ravel(),
+                                  np.tile(np.arange(per), len(members)))
 
     src = domain_dataset("si", "src")
     tgt = domain_dataset("ti", "tgt")
@@ -660,14 +663,17 @@ def _format_cell(col, value):
 def write_attention_csv(cold: ColdRun, path) -> None:
     """Attention weights of each test user's source history: user, item, weight."""
     src_idx = [cold.src.users.index(u) for u in cold.split.test_users]
-    rows = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
+    users, items, weights = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
+    user_ids, item_ids = cold.src.users.backward, cold.src.items.backward
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user", "item", "weight"])
-        for u, i, w in rows:
-            writer.writerow([cold.src.users.external(u), cold.src.items.external(i),
-                             f"{w:.8f}"])
-    logger.info("wrote %s (%d rows)", path, len(rows))
+        for start in range(0, len(users), CHUNK_ROWS):  # a block of rows as objects at a time
+            block = slice(start, start + CHUNK_ROWS)
+            writer.writerows(zip(map(user_ids.__getitem__, users[block].tolist()),
+                                 map(item_ids.__getitem__, items[block].tolist()),
+                                 map("{:.8f}".format, weights[block].tolist())))
+    logger.info("wrote %s (%d rows)", path, len(users))
 
 
 def write_suite_csv(rows, path) -> None:

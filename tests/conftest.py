@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,16 @@ def edit_checkpoint(prefix, name, case):
         t = tensors.pop(name)
         tensors[name] = t[..., None] if case == "shape" else t.reshape(-1)[0]
     save_tensors(prefix, tensors, meta)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_dataset(rows):

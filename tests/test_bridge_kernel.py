@@ -173,7 +173,7 @@ def test_attention_table_rows_equal_per_user_attention_scores(max_seq_len):
     ctx = _world(20)
     enc, _ = _nets("relu", max_seq_len)
     users = list(range(20))  # includes users with no sequence, which are left out
-    rows = attention_table(enc, ctx, users)
+    user_col, item_col, weight_col = attention_table(enc, ctx, users)
     expected = []
     for u in users:
         seq = ctx.sequences.get(u)
@@ -185,9 +185,10 @@ def test_attention_table_rows_equal_per_user_attention_scores(max_seq_len):
         np.testing.assert_allclose(w, softmax(enc.net.forward(ctx.item_reprs[seq])[:, 0]),
                                    rtol=0, atol=TOL)
         expected.extend((u, int(i), float(x)) for i, x in zip(seq, w))
-    assert [r[:2] for r in rows] == [e[:2] for e in expected]
-    np.testing.assert_allclose([r[2] for r in rows], [e[2] for e in expected], rtol=0, atol=TOL)
-    assert attention_table(enc, ctx, [6, 13]) == []  # no sequence for either
+    assert list(zip(user_col.tolist(), item_col.tolist())) == [e[:2] for e in expected]
+    np.testing.assert_allclose(weight_col, [e[2] for e in expected], rtol=0, atol=TOL)
+    # no sequence for either user
+    assert [len(c) for c in attention_table(enc, ctx, [6, 13])] == [0, 0, 0]
 
 
 def test_non_finite_attention_scores_raise():

@@ -4,18 +4,20 @@ import json
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgerec import data
 from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.data import (CSV_FIELDS, DATASET_COLUMNS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
                             DomainDataset, IdMap, MalformedRowError, build_sequences,
                             dataset_from_columns, filter_to_indices, load_dataset, load_domain,
                             make_split, overlap_users, save_dataset, verify_split)
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,55 @@ def test_jsonl_boolean_rating_or_timestamp_is_malformed(tmp_path, field, value):
                     + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
     with pytest.raises(MalformedRowError, match="^line 2: boolean rating or timestamp$"):
         load_domain(path)
+
+
+def _log_bytes(fmt: str, users) -> bytes:
+    """A log with one row per user id; the ids are bytes, so they may hold any byte."""
+    if fmt == "csv":
+        return b"user,item,rating,timestamp\n" + b"".join(b"%s,x,4.0,1\n" % u for u in users)
+    return b"".join(b'{"reviewerID": "%s", "asin": "x", "overall": 4.0, "unixReviewTime": 1}\n'
+                    % u for u in users)
+
+
+@pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("jsonl", 0)])
+@pytest.mark.parametrize("users, bad_row, error", [
+    ([b"A", b"B\xff"], 1, "byte 0xff is not UTF-8"),
+    ([b"A", b"\xc3", b"C"], 1, "byte 0xc3 is not UTF-8"),  # a cut-off two-byte sequence
+    # far past the text layer's first buffer and the loader's first chunk
+    ([b"u%d" % j for j in range(3000)] + [b"\x80"], 3000, "byte 0x80 is not UTF-8"),
+    # a malformed row ahead of the undecodable one in the same buffer is the first error
+    ([b"A", b"", b"B\xff"], 1, "empty user or item id"),
+], ids=["bad_byte", "cut_sequence", "past_first_chunk", "malformed_row_first"])
+def test_line_that_is_not_utf8_is_malformed(tmp_path, fmt, header_lines, users, bad_row, error):
+    path = tmp_path / f"log.{fmt}"
+    path.write_bytes(_log_bytes(fmt, users))
+    with pytest.raises(MalformedRowError, match=f"^line {bad_row + 1 + header_lines}: {error}$"):
+        load_domain(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_log_is_read_as_utf8(tmp_path, fmt):
+    path = tmp_path / f"log.{fmt}"
+    path.write_bytes(_log_bytes(fmt, ["Zoë".encode(), "日本".encode()]))
+    assert load_domain(path, fmt).users.backward == ["Zoë", "日本"]
+
+
+def test_load_domain_holds_one_chunk_of_rows_as_objects(tmp_path):
+    # 40,000 rows over 100 users and 50 items, so the id maps are small and the
+    # rows dominate. The columns take 32 B a row; keeping every parsed row as
+    # Python objects until the end traced 248 B a row on this log, and a chunk
+    # of 16,384 rows would add about 100 more.
+    n = 40_000
+    rng = np.random.default_rng(0)
+    path = tmp_path / "log.csv"
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(zip((f"user{u:03d}" for u in rng.integers(100, size=n)),
+                             (f"item{i:02d}" for i in rng.integers(50, size=n)),
+                             (f"{r:.1f}" for r in rng.uniform(0, 5, n)), range(n)))
+    assert load_domain(path).n_ratings == n  # also warms up what a first call allocates
+    assert traced_peak(lambda: load_domain(path)) / n <= 124
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +375,23 @@ def test_csv_columns_match_dictreader_reference(text):
 @given(jsonl_logs())
 def test_jsonl_columns_match_per_row_reference(text):
     _assert_same_load(text, "jsonl")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@settings(deadline=None, max_examples=300)
+@given(text=csv_logs())
+def test_csv_load_is_the_same_across_chunk_seams(chunk_rows, text):
+    # rejected rows, first-seen ids and a malformed row cross a chunk boundary
+    with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+        _assert_same_load(text, "csv")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@settings(deadline=None, max_examples=300)
+@given(text=jsonl_logs())
+def test_jsonl_load_is_the_same_across_chunk_seams(chunk_rows, text):
+    with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+        _assert_same_load(text, "jsonl")
 
 
 @pytest.mark.parametrize("rows, error", [

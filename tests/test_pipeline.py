@@ -1,10 +1,12 @@
 import concurrent.futures
+import csv
 import math
 import multiprocessing
 import pickle
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgerec import pipeline
-from bridgerec.data import build_sequences
-from bridgerec.bridge import transform_user
+from bridgerec.data import IdMap, build_sequences
+from bridgerec.bridge import CharacteristicEncoder, TransferContext, transform_user
 from bridgerec.models import TrainConfig, predict_batch, pretrain, user_representation
 from bridgerec.pipeline import (METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, _plan_rows, compute_metrics,
                                 generate_synthetic, run_cold, run_suite,
-                                run_warm, sweep_plans, write_suite_csv, write_suite_json)
+                                run_warm, sweep_plans, write_attention_csv, write_suite_csv,
+                                write_suite_json)
+from conftest import traced_peak
 
 SMALL = dict(n_users_src=140, n_users_tgt=140, n_overlap=100,
              n_items_src=90, n_items_tgt=90, k_true=5, ratings_per_user=15)
@@ -297,6 +301,34 @@ def test_warm_can_unfreeze_item_vectors():
                  finetune_items=True)
     warm = run_warm(plan)
     assert np.isfinite(warm.mae)
+
+
+# ---------------------------------------------------------------------------
+# attention export
+
+def test_attention_csv_is_written_a_block_of_rows_at_a_time(tmp_path):
+    # 1,000 users with 40 items each: 40,000 rows. The columns take 24 B a row
+    # and one block of kernel work about 1 MB, which traced 43 B a row here;
+    # a list of one tuple per row traced 135 B a row. The bound leaves half as
+    # much again as this code needs.
+    n_users, n_items, per, k = 1000, 600, 40, 10
+    rng = np.random.default_rng(0)
+    users = IdMap.from_ids(f"user{u:05d}" for u in range(n_users))
+    items = IdMap.from_ids(f"item{i:05d}" for i in range(n_items))
+    ctx = TransferContext(user_reprs=None, item_reprs=rng.normal(size=(n_items, k)),
+                          sequences={u: rng.choice(n_items, size=per, replace=False)
+                                     for u in range(n_users)},
+                          tgt_scoring=None, tgt_user_reprs=None)
+    cold = SimpleNamespace(src=SimpleNamespace(users=users, items=items),
+                           split=SimpleNamespace(test_users=users.backward),
+                           artifacts={"enc": CharacteristicEncoder(k, None, rng=rng), "ctx": ctx})
+    path = tmp_path / "attention.csv"
+    write_attention_csv(cold, path)  # also warms up what a first call allocates
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 1 + n_users * per
+    assert rows[1][:2] == ["user00000", f"item{ctx.sequences[0][0]:05d}"]
+    assert traced_peak(lambda: write_attention_csv(cold, path)) / (n_users * per) <= 64
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ ptupcdr_mapping_ablation mf configs and the ptupcdr csv + csv config run a
 second time as <config>-meta_only, with ``stage: meta_only`` reading the
 checkpoints (models and domains) their first run saved; every command runs in
 OUT_DIR/<side>, so that checkpoint path is relative and the config files
-match across trees. Each tree also runs ``prepare`` on the logs
-into OUT_DIR/<side>/prepare. On the csv + json-lines logs each tree also runs
+match across trees. Each tree also runs ``prepare`` on the csv + json-lines
+logs into OUT_DIR/<side>/prepare, and on a longer csv + json-lines pair in
+OUT_DIR/logs/long into OUT_DIR/<side>/prepare-long: 12,000 rows a log, so
+rows cross several of the loader's chunk boundaries, and every 97th row's
+rating is out of range. On the csv + json-lines logs each tree also runs
 one ``suite`` sweep (tgt, cmf, emcdr and ptupcdr over two betas and two
 seeds, with ``--export-attention``) serially into OUT_DIR/<side>/suite-serial
 and with ``--parallel 2`` into OUT_DIR/<side>/suite-parallel. The script
@@ -60,13 +63,18 @@ BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf", "ptupcdr-files-csv")
 
 
-def write_logs(log_dir: Path) -> None:
-    """One fixed two-domain world: books.csv, and its target domain as movies.csv and .jsonl."""
+def write_logs(log_dir: Path, n_users: int = 150, reject_every: int = 0) -> None:
+    """One fixed two-domain world: books.csv, and its target domain as movies.csv and .jsonl.
+
+    Each user rates 10 of a domain's 60 items; the first four fifths of the users
+    rate books, the last four fifths movies. With ``reject_every`` every such row
+    of a log has the out-of-range rating 5.5, which loading drops.
+    """
     rng = random.Random(11)
-    users = {f"u{i:03d}": [rng.uniform(0.3, 1.0) for _ in range(3)] for i in range(150)}
+    users = {f"u{i:03d}": [rng.uniform(0.3, 1.0) for _ in range(3)] for i in range(n_users)}
     names = list(users)
     log_dir.mkdir(parents=True)
-    for domain, members in (("books", names[:120]), ("movies", names[30:])):
+    for domain, members in (("books", names[:n_users * 4 // 5]), ("movies", names[n_users // 5:])):
         items = {f"{domain[0]}{j:03d}": [rng.uniform(0.3, 1.0) for _ in range(3)]
                  for j in range(60)}
         rows = []
@@ -75,6 +83,8 @@ def write_logs(log_dir: Path) -> None:
                 dot = sum(a * b for a, b in zip(users[user], items[item]))
                 rows.append((user, item, min(max(dot + rng.gauss(0.0, 0.1), 0.0), 5.0),
                              n * 100 + t))
+        if reject_every:
+            rows[::reject_every] = [(u, i, 5.5, t) for u, i, _, t in rows[::reject_every]]
         with open(log_dir / f"{domain}.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["user", "item", "rating", "timestamp"])
@@ -136,8 +146,9 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
         what = "both" if cfg["method"] in BRIDGE_NET_METHODS else "embeddings"
         jobs += [(["run", str(cfg_path)], run_dir),
                  (["export", str(cfg_path), "--what", what], run_dir)]
-    jobs.append((["prepare", str(log_dir / "books.csv"), str(log_dir / "movies.jsonl"),
-                  "--beta", "0.3", "--seed", "3"], out / "prepare"))
+    for logs, name in ((log_dir, "prepare"), (log_dir / "long", "prepare-long")):
+        jobs.append((["prepare", str(logs / "books.csv"), str(logs / "movies.jsonl"),
+                      "--beta", "0.3", "--seed", "3"], out / name))
     suite_path = out / "suite-config.json"
     suite_path.write_text(json.dumps(suite_config(log_dir), indent=2))
     for name, flags in (("suite-serial", []), ("suite-parallel", ["--parallel", "2"])):
@@ -208,6 +219,8 @@ def main(argv: list[str]) -> int:
             return 2
 
     write_logs(log_dir)
+    # 12,000 rows a log: several of the loader's chunks, with rejected rows among them
+    write_logs(log_dir / "long", n_users=1500, reject_every=97)
     failed = [f for src, out in sides.values() for f in run_tree(src, out, log_dir)]
     for line in failed:
         print(f"FAILED {line}")
