@@ -358,7 +358,7 @@ def load_bridge_nets(prefix):
     tensors, info = checkpoint.load_tensors(prefix)
     if info.get("kind") != "bridge_nets":
         raise ValueError(f"checkpoint at {prefix} is not a bridge checkpoint")
-    k = info["k"]
+    k = checkpoint.meta_k(info, prefix)
     enc = CharacteristicEncoder(k, max_seq_len=info.get("max_seq_len"),
                                 activation=info.get("enc_activation", "relu"))
     meta = MetaNetwork(k, activation=info.get("meta_activation", "relu"))

@@ -32,7 +32,7 @@ def save_tensors(prefix, tensors: dict[str, np.ndarray], meta: dict | None = Non
             entries[-1]["dtype"] = INT_DTYPE
     manifest = {"dtype": DTYPE, "meta": meta or {}, "tensors": entries}
     prefix.with_suffix(prefix.suffix + ".json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
     with open(prefix.with_suffix(prefix.suffix + ".bin"), "wb") as f:
         for a in arrays:
             f.write(a.data)  # the array's own buffer: no copy
@@ -68,7 +68,7 @@ def load_tensors(prefix):
     for p in (manifest_path, blob_path):
         if not p.exists():
             raise FileNotFoundError(f"missing checkpoint artifact: {p}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries = _entries(manifest, prefix)
     expected = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
     size = blob_path.stat().st_size
@@ -80,6 +80,15 @@ def load_tensors(prefix):
         tensors = {name: np.fromfile(f, dtype=dtype, count=math.prod(shape)).reshape(shape)
                    for name, shape, dtype in entries}
     return tensors, manifest.get("meta", {})
+
+
+def meta_k(meta: dict, prefix) -> int:
+    """The ``k`` in a checkpoint's meta; one that is not an int >= 1 is a
+    ValueError naming the checkpoint (a missing one, a KeyError)."""
+    k = meta["k"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"checkpoint at {prefix} has k {k!r}, expected an int >= 1")
+    return k
 
 
 def copy_into(params: dict[str, np.ndarray], tensors: dict[str, np.ndarray], prefix) -> None:

@@ -9,7 +9,6 @@ BRIDGEREC_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from . import checkpoint
 from .bridge import save_bridge_nets
-from .data import FORMATS, load_dataset, load_domain, make_split, save_dataset
+from .data import FORMATS, load_dataset, load_domain, make_split, save_dataset, write_csv
 from .models import TrainConfig, load_model, save_model, user_representation
 from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                        SyntheticTask, _report_row, domain_source, run_cold, run_plan, run_suite,
@@ -136,8 +135,8 @@ def _load_json(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -155,27 +154,20 @@ def _write_report_files(rows, out_dir: Path) -> None:
 
 def _write_traces(traces: dict, out_dir: Path) -> None:
     for name, record in traces.items():
-        if not record.losses:
-            continue
-        with open(out_dir / f"{name}_trace.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "loss"])
-            for epoch, loss in enumerate(record.losses):
-                writer.writerow([epoch, f"{loss:.8f}"])
+        if record.losses:
+            write_csv(out_dir / f"{name}_trace.csv", ["epoch", "loss"],
+                      ((epoch, f"{loss:.8f}") for epoch, loss in enumerate(record.losses)))
 
 
 def _export_embeddings(cold, path: Path) -> None:
-    k = cold.plan.k
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["user", "kind"] + [f"d{i}" for i in range(k)])
-        for u, vec in zip(cold.split.test_users, cold.init):
-            writer.writerow([u, "transformed"] + [f"{x:.8f}" for x in vec])
-        tgt_model = cold.artifacts.get("tgt_model")
-        if tgt_model is not None:
-            for u in cold.split.train_overlap_users:
-                vec = user_representation(tgt_model, cold.tgt.users.index(u))
-                writer.writerow([u, "target"] + [f"{x:.8f}" for x in vec])
+    vectors = [("transformed", zip(cold.split.test_users, cold.init))]
+    tgt_model = cold.artifacts.get("tgt_model")
+    if tgt_model is not None:
+        vectors.append(("target", ((u, user_representation(tgt_model, cold.tgt.users.index(u)))
+                                   for u in cold.split.train_overlap_users)))
+    write_csv(path, ["user", "kind"] + [f"d{i}" for i in range(cold.plan.k)],
+              ([u, kind] + [f"{x:.8f}" for x in vec]
+               for kind, pairs in vectors for u, vec in pairs))
     logger.info("wrote %s", path)
 
 
@@ -267,7 +259,7 @@ def cmd_prepare(args) -> int:
     for name, idmap in (("src_users", src.users), ("src_items", src.items),
                         ("tgt_users", tgt.users), ("tgt_items", tgt.items)):
         (out / f"{name}.json").write_text(
-            json.dumps(idmap.backward, separators=(",", ":")) + "\n")
+            json.dumps(idmap.backward, separators=(",", ":")) + "\n", encoding="utf-8")
     print(f"wrote split and id maps to {out}", file=sys.stderr)
     return 0
 

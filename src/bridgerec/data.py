@@ -142,6 +142,15 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
         raise MalformedRowError(f"line {line_no}: user or item id is not a string")
     if not user or not item:
         raise MalformedRowError(f"line {line_no}: empty user or item id")
+    if "\x00" in user or "\x00" in item:
+        raise MalformedRowError(f"line {line_no}: user or item id holds a NUL character")
+    # a json-lines escape can make a lone surrogate, which no UTF-8 output can hold
+    if not (user.isascii() and item.isascii()):
+        try:
+            user.encode("utf-8"), item.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRowError(f"line {line_no}: user or item id {exc.object!r} "
+                                    "is not encodable as UTF-8") from None
     if isinstance(rating, bool) or isinstance(timestamp, bool):
         raise MalformedRowError(f"line {line_no}: boolean rating or timestamp")
     try:
@@ -162,22 +171,25 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
 
 def _iter_csv(lines):
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        return  # zero-byte file: empty dataset
-    # a repeated column name keeps its last position, as in csv.DictReader
-    col = {name: pos for pos, name in enumerate(header)}
-    missing = [c for c in CSV_FIELDS if c not in col]
-    if missing:
-        raise MalformedRowError(f"line 1: header missing columns {missing}")
-    u, i, r, t = (col[c] for c in CSV_FIELDS)
-    width = max(u, i, r, t) + 1
-    for row in reader:
-        if not row:
-            continue  # blank row
-        if len(row) < width:  # short row: its last fields are missing
-            row += [None] * (width - len(row))
-        yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
+    try:
+        header = next(reader, None)
+        if header is None:
+            return  # zero-byte file: empty dataset
+        # a repeated column name keeps its last position, as in csv.DictReader
+        col = {name: pos for pos, name in enumerate(header)}
+        missing = [c for c in CSV_FIELDS if c not in col]
+        if missing:
+            raise MalformedRowError(f"line 1: header missing columns {missing}")
+        u, i, r, t = (col[c] for c in CSV_FIELDS)
+        width = max(u, i, r, t) + 1
+        for row in reader:
+            if not row:
+                continue  # blank row
+            if len(row) < width:  # short row: its last fields are missing
+                row += [None] * (width - len(row))
+            yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
+    except csv.Error as exc:  # a field over the size limit; before Python 3.11, a NUL
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
 
 
 def _iter_jsonl(lines):
@@ -257,9 +269,10 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     ``fmt`` is "csv" (header user,item,rating,timestamp) or "jsonl" (also
     "json-lines" or "json_lines": reviewerID/asin/overall/unixReviewTime
     records, one per line); when None it is inferred from the file suffix.
-    The log is read as UTF-8. A malformed row, or a line that is not UTF-8,
-    raises MalformedRowError naming the line; ratings outside [0, 5] are
-    dropped and counted in ``rejected_out_of_range``. Rows become columns
+    The log is read as UTF-8, a leading byte-order mark skipped. A malformed
+    row (an id holding NUL or a character UTF-8 cannot encode among them), or
+    a line that is not UTF-8, raises MalformedRowError naming the line;
+    ratings outside [0, 5] are dropped and counted in ``rejected_out_of_range``. Rows become columns
     CHUNK_ROWS at a time, ids interned in first-seen order as they stream.
     """
     path = Path(path)
@@ -272,7 +285,7 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     item_ids: dict[str, int] = {}
     columns = ([], [], [], [])  # per-chunk pieces of each dataset column
     rejected = 0
-    with open(path, encoding="utf-8", newline=newline) as f:
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         rows = parse(f)
         try:
             while (coded := _coded_chunk(rows, user_ids, item_ids)) is not None:
@@ -284,7 +297,8 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
             # The decoder reads a buffer of lines at a time, so its error names no line
             # and comes before the rows ahead of it in the buffer are parsed. Parsing
             # again line by line raises the first bad line's MalformedRowError.
-            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as g:
+            with open(path, encoding="utf-8-sig", errors="surrogateescape",
+                      newline=newline) as g:
                 for _ in parse(_utf8_lines(g)):
                     pass
             raise
@@ -293,6 +307,15 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     logger.info("loaded %s: %d ratings, %d users, %d items (%d out-of-range rows rejected)",
                 path.name, ds.n_ratings, ds.n_users, ds.n_items, rejected)
     return ds
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` (an iterable, consumed as it is
+    written) to the csv file ``path``, as UTF-8 whatever the locale."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_dataset(prefix, ds: DomainDataset, meta: dict | None = None) -> None:
@@ -412,7 +435,7 @@ class SplitPlan:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def from_json(cls, text: str, tgt: DomainDataset) -> "SplitPlan":

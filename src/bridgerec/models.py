@@ -247,7 +247,7 @@ def load_model(prefix) -> DomainModel:
     if meta.get("kind") != "domain_model":
         raise ValueError(f"checkpoint at {prefix} is not a domain model")
     n_users, n_items = (len(np.atleast_1d(tensors.get(n, ()))) for n in ("users", "items"))
-    model = DomainModel(n_users, n_items, meta["k"], meta["head"],
+    model = DomainModel(n_users, n_items, checkpoint.meta_k(meta, prefix), meta["head"],
                         activation=meta.get("activation", "relu"))
     checkpoint.copy_into(model.params(), tensors, prefix)
     return model

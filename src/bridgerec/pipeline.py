@@ -10,11 +10,11 @@ comparisons, and a suite runner aggregates many plans into one report table.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import json
 import logging
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_
                      transform_users)
 from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
                    build_sequences, dataset_from_codes, filter_to_indices, load_domain,
-                   log_source, make_split)
+                   log_source, make_split, write_csv)
 from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
                      user_representation)
@@ -213,34 +213,26 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
         shared = None
         diags = rng.uniform(0.3, 1.0, (spec.n_clusters, k))
 
-    users = {}   # ext id -> (cluster, src_factor or None, tgt_factor or None)
+    src_users, tgt_users = {}, {}  # ext id -> factor, per domain
     overlap_ids = []
     for i in range(spec.n_overlap):
         c = int(rng.integers(spec.n_clusters))
-        u = draw_factor(c)
-        if spec.bridge_family == "shared_linear":
-            ut = shared @ u
-        else:
-            ut = diags[c] * u
         ext = f"ou{i:05d}"
-        users[ext] = (c, u, ut)
+        u = src_users[ext] = draw_factor(c)
+        tgt_users[ext] = shared @ u if spec.bridge_family == "shared_linear" else diags[c] * u
         overlap_ids.append(ext)
-    for i in range(spec.n_users_src - spec.n_overlap):
-        c = int(rng.integers(spec.n_clusters))
-        users[f"su{i:05d}"] = (c, draw_factor(c), None)
-    for i in range(spec.n_users_tgt - spec.n_overlap):
-        c = int(rng.integers(spec.n_clusters))
-        users[f"tu{i:05d}"] = (c, None, draw_factor(c))
+    for members, count, prefix in ((src_users, spec.n_users_src, "su"),
+                                   (tgt_users, spec.n_users_tgt, "tu")):
+        for i in range(count - spec.n_overlap):
+            members[f"{prefix}{i:05d}"] = draw_factor(int(rng.integers(spec.n_clusters)))
 
-    item_factors = {}
-    for prefix, count in (("si", spec.n_items_src), ("ti", spec.n_items_tgt)):
-        clusters = rng.integers(spec.n_clusters, size=count)
-        item_factors[prefix] = np.stack([draw_factor(int(c)) for c in clusters])
+    src_items, tgt_items = (np.stack([draw_factor(int(c))
+                                      for c in rng.integers(spec.n_clusters, size=count)])
+                            for count in (spec.n_items_src, spec.n_items_tgt))
 
-    def domain_dataset(prefix, side):
-        factors = item_factors[prefix]
-        per, col = spec.ratings_per_user, 1 if side == "src" else 2
-        members = {ext: u[col] for ext, u in users.items() if u[col] is not None}
+    def domain_dataset(prefix, members, factors):
+        """The domain's dataset, and its user and item factors in dataset index order."""
+        per = spec.ratings_per_user
         chosen = np.empty((len(members), per), dtype=np.int64)
         rating = np.empty((len(members), per))
         for row, vec in enumerate(members.values()):
@@ -256,28 +248,15 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
         code[rated] = np.arange(len(rated))
         user_ids = {ext: u for u, ext in enumerate(members)}
         item_ids = {f"{prefix}{j:05d}": c for c, j in enumerate(rated.tolist())}
-        return dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(members)), per),
-                                  code[chosen].ravel(), rating.ravel(),
-                                  np.tile(np.arange(per), len(members)))
+        ds = dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(members)), per),
+                                code[chosen].ravel(), rating.ravel(),
+                                np.tile(np.arange(per), len(members)))
+        return ds, np.stack(list(members.values())), factors[rated]
 
-    src = domain_dataset("si", "src")
-    tgt = domain_dataset("ti", "tgt")
-
-    def aligned(ds, table, side):
-        if table == "users":
-            vecs = [users[e][1 if side == "src" else 2] for e in ds.users.backward]
-            return np.stack(vecs)
-        idx = [int(e[2:]) for e in ds.items.backward]
-        return item_factors["si" if side == "src" else "ti"][idx]
-
-    truth = PlantedTruth(
-        src_user_factors=aligned(src, "users", "src"),
-        tgt_user_factors=aligned(tgt, "users", "tgt"),
-        src_item_factors=aligned(src, "items", "src"),
-        tgt_item_factors=aligned(tgt, "items", "tgt"),
-        overlap_ids=overlap_ids,
-        shared_bridge=shared,
-    )
+    src, src_user_factors, src_item_factors = domain_dataset("si", src_users, src_items)
+    tgt, tgt_user_factors, tgt_item_factors = domain_dataset("ti", tgt_users, tgt_items)
+    truth = PlantedTruth(src_user_factors, tgt_user_factors, src_item_factors, tgt_item_factors,
+                         overlap_ids, shared)
     return src, tgt, truth
 
 
@@ -665,31 +644,26 @@ def write_attention_csv(cold: ColdRun, path) -> None:
     src_idx = [cold.src.users.index(u) for u in cold.split.test_users]
     users, items, weights = attention_table(cold.artifacts["enc"], cold.artifacts["ctx"], src_idx)
     user_ids, item_ids = cold.src.users.backward, cold.src.items.backward
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["user", "item", "weight"])
-        for start in range(0, len(users), CHUNK_ROWS):  # a block of rows as objects at a time
-            block = slice(start, start + CHUNK_ROWS)
-            writer.writerows(zip(map(user_ids.__getitem__, users[block].tolist()),
-                                 map(item_ids.__getitem__, items[block].tolist()),
-                                 map("{:.8f}".format, weights[block].tolist())))
+    blocks = (slice(start, start + CHUNK_ROWS) for start in range(0, len(users), CHUNK_ROWS))
+    # one block of rows is alive as Python objects at a time
+    write_csv(path, ["user", "item", "weight"], chain.from_iterable(
+        zip(map(user_ids.__getitem__, users[b].tolist()),
+            map(item_ids.__getitem__, items[b].tolist()),
+            map("{:.8f}".format, weights[b].tolist())) for b in blocks))
     logger.info("wrote %s (%d rows)", path, len(users))
 
 
 def write_suite_csv(rows, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SUITE_COLUMNS)
-        for r in rows:
-            writer.writerow([_format_cell(c, r.get(c)) for c in SUITE_COLUMNS])
+    write_csv(path, SUITE_COLUMNS,
+              ([_format_cell(c, r.get(c)) for c in SUITE_COLUMNS] for r in rows))
 
 
 def write_suite_json(rows, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def sweep_plans(base: ExperimentPlan, methods=None, betas=None, seeds=None):

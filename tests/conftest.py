@@ -39,13 +39,16 @@ def pair_csvs(tmp_path):
     return src, tgt
 
 
-def edit_checkpoint(prefix, name, case):
+def edit_checkpoint(prefix, name, case, value=None):
     """Rewrite the checkpoint at ``prefix`` without the meta entry ``name`` (case
-    "meta"), or with tensor ``name`` renamed ("name"), given an extra trailing
-    axis ("shape") or cut to one value ("scalar")."""
+    "meta") or with it set to ``value`` ("meta_value"), or with tensor ``name``
+    renamed ("name"), given an extra trailing axis ("shape") or cut to one value
+    ("scalar")."""
     tensors, meta = load_tensors(prefix)
     if case == "meta":
         del meta[name]
+    elif case == "meta_value":
+        meta[name] = value
     elif case == "name":
         tensors[name + "_renamed"] = tensors.pop(name)
     else:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,15 @@ def test_load_bridge_nets_rejects_a_wrong_name_or_shape(tmp_path, name, case):
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
     edit_checkpoint(tmp_path / "nets", name, case)
     with pytest.raises(ValueError, match="checkpoint at"):
+        load_bridge_nets(tmp_path / "nets")
+
+
+@pytest.mark.parametrize("k", [4.0, "4", 0, True, None])
+def test_load_bridge_nets_rejects_a_k_that_is_not_an_int_of_at_least_one(tmp_path, k):
+    save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
+    edit_checkpoint(tmp_path / "nets", "k", "meta_value", k)
+    message = f"checkpoint at {tmp_path / 'nets'} has k {k!r}, expected an int >= 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_bridge_nets(tmp_path / "nets")
 
 

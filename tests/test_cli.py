@@ -4,7 +4,10 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +87,17 @@ def test_prepare_reports_a_json_line_that_is_not_an_object(tmp_path, pair_csvs, 
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 2: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_prepare_reports_a_csv_field_over_the_size_limit(tmp_path, pair_csvs, capsys):
+    _, tgt = pair_csvs
+    src = tmp_path / "src.csv"
+    src.write_text("user,item,rating,timestamp\nu1,s0,4.0,1\nu2," + "s" * 200_000 + ",3.0,2\n")
+    rc = main(["prepare", str(src), str(tgt), "--beta", "0.4", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: line 3: field larger than field limit" in err
     assert "Traceback" not in err
 
 
@@ -188,7 +202,11 @@ def test_run_meta_only_from_saved_checkpoints(tmp_path):
     ("name", {}, "lacks tensors ['item_net.W1']"),
     ("shape", {}, "tensor 'item_net.W1' has shape (4, 8, 1), expected (4, 8)"),
     ("meta", {}, "checkpoint manifest for tgt_model lacks the key 'k'"),
-], ids=["head", "k", "name", "shape", "meta"])
+    # a k that is not an int >= 1 is an unreadable checkpoint, not a traceback
+    ("k-float", {}, "has k 4.0, expected an int >= 1"),
+    ("k-str", {}, "has k '4', expected an int >= 1"),
+    ("k-zero", {}, "has k 0, expected an int >= 1"),
+], ids=["head", "k", "name", "shape", "meta", "k-float", "k-str", "k-zero"])
 def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monkeypatch,
                                                          case, overrides, message):
     _no_training(monkeypatch)
@@ -197,6 +215,11 @@ def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monke
         save_model(ckpt / name, DomainModel(5, 6, 4, "two_tower"))
     if case in ("name", "shape", "meta"):
         edit_checkpoint(ckpt / "tgt_model", "k" if case == "meta" else "item_net.W1", case)
+    elif case.startswith("k-"):
+        bad_k = {"k-float": 4.0, "k-str": "4", "k-zero": 0}[case]
+        edit_checkpoint(ckpt / "tgt_model", "k", "meta_value", bad_k)
+        message = (f"tgt_model checkpoint in {ckpt} is unreadable: "
+                   f"checkpoint at {ckpt / 'tgt_model'} {message}")
     cfg = _run_config(tmp_path, **{"base_model": "two_tower", "stage": "meta_only",
                                    "checkpoint_dir": str(ckpt), **overrides})
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
@@ -876,3 +899,86 @@ def test_an_unknown_amazon_format_is_rejected_before_any_output(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: format must be one of ") and "got 'xml'" in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# files are UTF-8 whatever the locale
+
+@pytest.mark.parametrize("command", ["run", "suite", "export"])
+def test_a_config_that_is_not_utf8_is_a_config_error_naming_the_file(tmp_path, capsys,
+                                                                      command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"task": {"kind": "amazon", "name": "tâche"}}'.encode("latin-1"))
+    _rejected(tmp_path, capsys, [command, str(path)],
+              f"error: {path}: 'utf-8' codec can't decode byte 0xe2")
+
+
+def _write_non_ascii_logs(log_dir):
+    """A small synthetic world whose user and item ids are not ASCII, as
+    books.csv and movies.jsonl (raw UTF-8, not \\u escapes)."""
+    spec = SyntheticSpec(n_users_src=60, n_users_tgt=60, n_overlap=45, n_items_src=30,
+                         n_items_tgt=30, k_true=3, ratings_per_user=6)
+    src, tgt, _ = pipeline.generate_synthetic(spec, seed=4)
+    log_dir.mkdir()
+    for ds, name in ((src, "books.csv"), (tgt, "movies.jsonl")):
+        rows = [("é" + ds.users.external(u), "ü" + ds.items.external(i), r, t)
+                for u, i, r, t in zip(ds.user_idx.tolist(), ds.item_idx.tolist(),
+                                      ds.rating.tolist(), ds.timestamp.tolist())]
+        if name.endswith(".csv"):
+            text = "user,item,rating,timestamp\n" + "".join(f"{u},{i},{r!r},{t}\n"
+                                                           for u, i, r, t in rows)
+        else:
+            text = "".join(json.dumps({"reviewerID": u, "asin": i, "overall": r,
+                                       "unixReviewTime": t}, ensure_ascii=False) + "\n"
+                           for u, i, r, t in rows)
+        (log_dir / name).write_text(text, encoding="utf-8")
+
+
+# an ASCII locale with UTF-8 mode off, and a UTF-8 locale
+LOCALES = {"C": {"LC_ALL": "C", "PYTHONUTF8": "0"}, "C.UTF-8": {"LC_ALL": "C.UTF-8"}}
+
+
+def test_every_command_writes_the_same_files_in_an_ascii_and_a_utf8_locale(tmp_path):
+    logs = tmp_path / "logs"
+    _write_non_ascii_logs(logs)
+    src_log, tgt_log = str(logs / "books.csv"), str(logs / "movies.jsonl")
+    plan = {"task": {"kind": "amazon", "src_path": src_log, "tgt_path": tgt_log,
+                     "name": "tâche"},
+            "method": "ptupcdr", "k": 3, "beta": 0.3, "seed": 1,
+            "pretrain": {"lr": 0.01, "epochs": 3}, "bridge": {"lr": 0.01, "epochs": 2},
+            "finetune": {"lr": 0.01, "epochs": 2}}
+    configs = {"run.json": {**plan, "save_checkpoints": True},
+               "meta.json": {**plan, "stage": "meta_only", "checkpoint_dir": "run/checkpoints"},
+               "suite.json": {"base": plan, "methods": ["tgt", "ptupcdr"]}}
+    commands = [["prepare", src_log, tgt_log, "--beta", "0.3", "--seed", "1",
+                 "--out-dir", "prepare"],
+                ["run", "run.json", "--out-dir", "run"],
+                ["run", "meta.json", "--out-dir", "meta"],
+                ["export", "run.json", "--what", "both", "--out-dir", "export"],
+                ["suite", "suite.json", "--export-attention", "--out-dir", "suite"]]
+    path = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    files = {}
+    for name, settings in LOCALES.items():
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("LC_") and k not in ("LANG", "PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(settings, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        side = tmp_path / name
+        side.mkdir()
+        for config, cfg in configs.items():  # raw UTF-8, as an editor saves it
+            (side / config).write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                                   "-W", "error::EncodingWarning", "-m", "bridgerec.cli", *argv],
+                                  cwd=side, env=env, capture_output=True)
+            stderr = proc.stderr.decode("utf-8", "replace")
+            assert proc.returncode == 0, (name, argv, stderr)
+            assert "EncodingWarning" not in stderr
+        files[name] = {p.relative_to(side): p.read_bytes()
+                       for p in sorted(side.rglob("*")) if p.is_file()}
+    ascii_side, utf8_side = files["C"], files["C.UTF-8"]
+    assert sorted(ascii_side) == sorted(utf8_side)
+    assert [p for p in ascii_side if ascii_side[p] != utf8_side[p]] == []
+    assert "tâche".encode() in ascii_side[Path("suite", "suite.csv")]
+    for table in ("export/attention.csv", "export/embeddings.csv",
+                  "suite/attention_ptupcdr_beta0.3.csv"):
+        assert "éou".encode() in ascii_side[Path(table)]

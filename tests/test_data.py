@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.data import (CSV_FIELDS, DATASET_COLUMNS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
                             DomainDataset, IdMap, MalformedRowError, build_sequences,
                             dataset_from_columns, filter_to_indices, load_dataset, load_domain,
-                            make_split, overlap_users, save_dataset, verify_split)
+                            log_source, make_split, overlap_users, save_dataset, verify_split)
 from conftest import make_dataset, traced_peak
 
 
@@ -162,6 +163,74 @@ def test_log_is_read_as_utf8(tmp_path, fmt):
     assert load_domain(path, fmt).users.backward == ["Zoë", "日本"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("users", [["Zoë".encode(), b"A", b"B"], [b"A", b"B\xff"]],
+                         ids=["clean", "bad_byte"])
+def test_log_with_a_byte_order_mark_loads_as_without_it(tmp_path, fmt, users):
+    # spreadsheet "CSV UTF-8" exports start with EF BB BF; the mark is not part of
+    # the first column name or record, on the streaming and the line-by-line pass
+    outcomes = []
+    for name, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        path = tmp_path / f"{name}.{fmt}"
+        path.write_bytes(mark + _log_bytes(fmt, users))
+        try:
+            outcomes.append(load_domain(path, fmt))
+        except MalformedRowError as exc:
+            outcomes.append(exc)
+    plain, marked = outcomes
+    if isinstance(plain, MalformedRowError):
+        assert type(marked) is MalformedRowError and str(marked) == str(plain)
+    else:
+        _assert_same_dataset(marked, plain)
+    # the dataset's identity stays the sha256 of the log's raw bytes
+    assert log_source(tmp_path / f"plain.{fmt}") != log_source(tmp_path / f"marked.{fmt}")
+
+
+def test_csv_field_over_the_size_limit_is_malformed(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(_log_bytes("csv", [b"A", b"B" * 200_000]))
+    with pytest.raises(MalformedRowError, match=r"^line 3: field larger than field limit"):
+        load_domain(path)
+
+
+@pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("jsonl", 0)])
+@pytest.mark.parametrize("field", ["user", "item"])
+def test_id_holding_nul_is_malformed(tmp_path, fmt, header_lines, field):
+    rows = [{"user": "A", "item": "x"}, {"user": "B", "item": "y"}]
+    rows[1][field] = "u\x00x"
+    path = tmp_path / f"log.{fmt}"
+    if fmt == "csv":  # the raw byte; before Python 3.11 csv.reader rejects it itself
+        path.write_text("user,item,rating,timestamp\n"
+                        + "".join(f"{r['user']},{r['item']},4.0,1\n" for r in rows))
+    else:  # a json-lines id gets NUL from the escape \u0000
+        path.write_text("".join(json.dumps({"reviewerID": r["user"], "asin": r["item"],
+                                            "overall": 4.0, "unixReviewTime": 1}) + "\n"
+                                for r in rows))
+    with pytest.raises(MalformedRowError, match=f"^line {2 + header_lines}: "
+                       "(user or item id holds a NUL character|line contains NUL)$"):
+        load_domain(path, fmt)
+
+
+@pytest.mark.parametrize("field", ["reviewerID", "asin"])
+@pytest.mark.parametrize("escaped", ["\\ud800", "a\\udfff", "\\udc80b", "\\ude00\\ud83d"])
+def test_jsonl_id_that_utf8_cannot_encode_is_malformed(tmp_path, field, escaped):
+    # a lone surrogate, which only a JSON escape can make, would fail every UTF-8 output
+    good = '{"reviewerID": "A", "asin": "x", "overall": 4.0, "unixReviewTime": 1}\n'
+    path = tmp_path / "log.jsonl"
+    path.write_text(good + good.replace('"A"' if field == "reviewerID" else '"x"',
+                                        f'"{escaped}"'))
+    with pytest.raises(MalformedRowError, match="^line 2: user or item id .* is not encodable "
+                                                "as UTF-8$"):
+        load_domain(path)
+
+
+def test_jsonl_id_with_an_escaped_surrogate_pair_loads(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"reviewerID": "\\ud83d\\ude00", "asin": "x", "overall": 4.0, '
+                    '"unixReviewTime": 1}\n')
+    assert load_domain(path).users.backward == ["\U0001f600"]
+
+
 def test_load_domain_holds_one_chunk_of_rows_as_objects(tmp_path):
     # 40,000 rows over 100 users and 50 items, so the id maps are small and the
     # rows dominate. The columns take 32 B a row; keeping every parsed row as
@@ -286,6 +355,10 @@ def _assert_same_load(text: str, fmt: str):
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
+    _assert_same_dataset(got, want)
+
+
+def _assert_same_dataset(got, want):
     assert isinstance(got, DomainDataset), got
     for side in ("users", "items"):
         assert getattr(got, side).forward == getattr(want, side).forward

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,15 @@ def test_load_model_rejects_a_wrong_name_or_shape(tmp_path, head, name, case):
     save_model(tmp_path / "m", DomainModel(3, 4, 2, head, rng=np.random.default_rng(8)))
     edit_checkpoint(tmp_path / "m", name, case)
     with pytest.raises(ValueError, match=name):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("k", [4.0, "4", 0, True, None])
+def test_load_model_rejects_a_k_that_is_not_an_int_of_at_least_one(tmp_path, k):
+    save_model(tmp_path / "m", DomainModel(3, 4, 2, "mf", rng=np.random.default_rng(8)))
+    edit_checkpoint(tmp_path / "m", "k", "meta_value", k)
+    message = f"checkpoint at {tmp_path / 'm'} has k {k!r}, expected an int >= 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(tmp_path / "m")
 
 
