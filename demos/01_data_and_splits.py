@@ -23,8 +23,8 @@ for i, user in enumerate(["ann", "bob", "cho", "dee", "eli", "fay"]):
 for i, user in enumerate(["ann", "bob", "cho", "dee", "gus"]):  # gus: target only
     for j in range(4):
         tgt_rows.append(f"{user},album{j},{2.5 + (i * j) % 4 * 0.5},{i * 100 + j}")
-src_csv.write_text("\n".join(src_rows) + "\n")
-tgt_csv.write_text("\n".join(tgt_rows) + "\n")
+src_csv.write_text("\n".join(src_rows) + "\n", encoding="utf-8")
+tgt_csv.write_text("\n".join(tgt_rows) + "\n", encoding="utf-8")
 
 src = load_domain(src_csv)
 tgt = load_domain(tgt_csv)

@@ -26,7 +26,8 @@ rows = run_suite(plans, record_runtime=False)
 with tempfile.TemporaryDirectory(prefix="bridgerec_suite_") as tmp:
     out = Path(tmp) / "suite.csv"
     write_suite_csv(rows, out)
-    print(f"wrote {len(out.read_text().splitlines())} lines to {out} (removed on exit)\n")
+    n_lines = len(out.read_text(encoding="utf-8").splitlines())
+    print(f"wrote {n_lines} lines to {out} (removed on exit)\n")
 
 print(f"{'method':12s} {'stage':6s} {'seed':>4s} {'mae':>8s} {'rmse':>8s}")
 for r in rows:

@@ -44,6 +44,8 @@ class CharacteristicEncoder:
 
     def __init__(self, k: int, max_seq_len: int | None = 20, activation: str = "relu",
                  rng: np.random.Generator | None = None):
+        if max_seq_len is not None and type(max_seq_len) is not int:
+            raise ValueError(f"max_seq_len must be None or an int, got {max_seq_len!r}")
         if max_seq_len is not None and max_seq_len < 1:
             raise ValueError(f"max_seq_len must be None or >= 1, got {max_seq_len}")
         self.k = k

@@ -1,7 +1,7 @@
 """Command-line entry point: data prep, single runs, suites, artifact export.
 
 Hyperparameters live in json config files; flags cover only paths, seeds and
-verbosity. Logs go to stderr, machine-readable artifacts to files. The
+verbosity. Logs go to stderr, machine-readable outputs to files. The
 default output directory comes from --out-dir, then the config, then the
 BRIDGEREC_OUT_DIR environment variable.
 """
@@ -17,13 +17,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import checkpoint
-from .bridge import save_bridge_nets
-from .data import FORMATS, load_dataset, load_domain, make_split, save_dataset, write_csv
-from .models import TrainConfig, load_model, save_model, user_representation
+from .data import FORMATS, load_domain, make_split, write_csv
+from .models import TrainConfig
 from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
-                       SyntheticTask, _report_row, domain_source, run_cold, run_plan, run_suite,
-                       sweep_plans, write_attention_csv, write_suite_csv, write_suite_json)
+                       SyntheticTask, load_checkpoints, report_row, run_cold, run_plan,
+                       run_suite, save_checkpoints, sweep_plans, write_attention_csv,
+                       write_embeddings_csv, write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
 
@@ -147,51 +146,11 @@ def _out_dir(flag_value, cfg_value) -> Path:
     return path
 
 
-def _write_report_files(rows, out_dir: Path) -> None:
-    write_suite_csv(rows, out_dir / "report.csv")
-    write_suite_json(rows, out_dir / "report.json")
-
-
 def _write_traces(traces: dict, out_dir: Path) -> None:
     for name, record in traces.items():
         if record.losses:
             write_csv(out_dir / f"{name}_trace.csv", ["epoch", "loss"],
                       ((epoch, f"{loss:.8f}") for epoch, loss in enumerate(record.losses)))
-
-
-def _export_embeddings(cold, path: Path) -> None:
-    vectors = [("transformed", zip(cold.split.test_users, cold.init))]
-    tgt_model = cold.artifacts.get("tgt_model")
-    if tgt_model is not None:
-        vectors.append(("target", ((u, user_representation(tgt_model, cold.tgt.users.index(u)))
-                                   for u in cold.split.train_overlap_users)))
-    write_csv(path, ["user", "kind"] + [f"d{i}" for i in range(cold.plan.k)],
-              ([u, kind] + [f"{x:.8f}" for x in vec]
-               for kind, pairs in vectors for u, vec in pairs))
-    logger.info("wrote %s", path)
-
-
-def _save_checkpoints(cold, ckpt_dir: Path) -> None:
-    """Save the cold run's models and bridge. With both domain models, the methods
-    stage meta_only reads, also save both domains; each domain's meta holds where it
-    came from and the plan's beta and seed, which fix the split."""
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    if "src_model" in cold.artifacts:
-        plan = cold.plan
-        for side in ("src", "tgt"):
-            save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side),
-                         {"source": domain_source(plan, side), "beta": plan.beta,
-                          "seed": plan.seed})
-        save_model(ckpt_dir / "src_model", cold.artifacts["src_model"])
-    if "tgt_model" in cold.artifacts:
-        save_model(ckpt_dir / "tgt_model", cold.artifacts["tgt_model"])
-    if "common_bridge" in cold.artifacts:
-        checkpoint.save_tensors(ckpt_dir / "common_bridge",
-                                {"W": cold.artifacts["common_bridge"]},
-                                {"kind": "common_bridge"})
-    if "enc" in cold.artifacts:
-        save_bridge_nets(ckpt_dir / "bridge_nets", cold.artifacts["enc"],
-                         cold.artifacts["meta"])
 
 
 def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
@@ -206,41 +165,7 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
     ckpt_dir = cfg.get("checkpoint_dir")
     if not ckpt_dir:
         raise ConfigError("stage 'meta_only' needs checkpoint_dir")
-    loaded = {}
-    for name in ("src_model", "tgt_model"):
-        prefix = Path(ckpt_dir) / name
-        try:
-            model = load_model(prefix)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"missing checkpoint artifact for {name}: {exc}") from None
-        except KeyError as exc:
-            raise ConfigError(f"checkpoint manifest for {name} lacks the key {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
-        if (model.head, model.k) != (plan.base_model, plan.k):
-            raise ConfigError(f"{name} checkpoint has base_model {model.head!r} and k {model.k}, "
-                              f"but the config asks for base_model {plan.base_model!r} "
-                              f"and k {plan.k}")
-        loaded[name] = model
-    for side in ("src", "tgt"):
-        name = f"{side}_domain"
-        try:
-            ds, meta = load_dataset(Path(ckpt_dir) / name)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"missing checkpoint artifact for {name}: {exc}") from None
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
-        # the split, and so which target ratings trained tgt_model, follows from beta and seed
-        saved = (meta.get("beta"), meta.get("seed"))
-        if saved != (plan.beta, plan.seed):
-            raise ConfigError(f"checkpoints in {ckpt_dir} were saved at beta {saved[0]} and "
-                              f"seed {saved[1]}, but the config asks for beta {plan.beta} "
-                              f"and seed {plan.seed}")
-        if meta.get("source") != domain_source(plan, side):
-            raise ConfigError(f"{name} checkpoint in {ckpt_dir} was saved from other data "
-                              f"than the config's {side} domain")
-        loaded[side] = ds
-    return loaded
+    return load_checkpoints(plan, ckpt_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +199,13 @@ def cmd_run(args) -> int:
     # output files stay byte-identical across reruns unless timings are asked for
     record_runtime = bool(cfg.get("record_runtime", False))
     (cold, t_cold), (warm, t_warm) = run_plan(plan, pretrained)
-    rows = [{**_report_row(plan, report, t, record_runtime), "counters": report.counters}
+    rows = [{**report_row(plan, report, t, record_runtime), "counters": report.counters}
             for report, t in ((cold.report, t_cold), (warm, t_warm))]
-    _write_report_files(rows, out)
+    write_suite_csv(rows, out / "report.csv")
+    write_suite_json(rows, out / "report.json")
     _write_traces({**cold.report.traces, **warm.traces}, out)
     if cfg.get("save_checkpoints"):
-        _save_checkpoints(cold, out / "checkpoints")
+        save_checkpoints(cold, out / "checkpoints")
     print(f"cold mae={cold.report.mae:.4f} warm mae={warm.mae:.4f} -> {out}",
           file=sys.stderr)
     return 0
@@ -324,7 +250,7 @@ def cmd_export(args) -> int:
     if args.what in ("attention", "both"):
         write_attention_csv(cold, out / "attention.csv")
     if args.what in ("embeddings", "both"):
-        _export_embeddings(cold, out / "embeddings.csv")
+        write_embeddings_csv(cold, out / "embeddings.csv")
     return 0
 
 

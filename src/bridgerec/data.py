@@ -169,8 +169,17 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
     return user, item, r, ts
 
 
+def _without_nul(lines):
+    """``lines``, raising MalformedRowError at the first one holding NUL, which
+    csv.reader itself rejects only before Python 3.11."""
+    for line_no, line in enumerate(lines, start=1):
+        if "\x00" in line:
+            raise MalformedRowError(f"line {line_no}: line contains NUL")
+        yield line
+
+
 def _iter_csv(lines):
-    reader = csv.reader(lines)
+    reader = csv.reader(_without_nul(lines))
     try:
         header = next(reader, None)
         if header is None:
@@ -188,7 +197,7 @@ def _iter_csv(lines):
             if len(row) < width:  # short row: its last fields are missing
                 row += [None] * (width - len(row))
             yield _parse_fields(row[u], row[i], row[r], row[t], reader.line_num)
-    except csv.Error as exc:  # a field over the size limit; before Python 3.11, a NUL
+    except csv.Error as exc:  # a field over the size limit
         raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
 
 
@@ -270,8 +279,9 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     "json-lines" or "json_lines": reviewerID/asin/overall/unixReviewTime
     records, one per line); when None it is inferred from the file suffix.
     The log is read as UTF-8, a leading byte-order mark skipped. A malformed
-    row (an id holding NUL or a character UTF-8 cannot encode among them), or
-    a line that is not UTF-8, raises MalformedRowError naming the line;
+    row (an id holding NUL or a character UTF-8 cannot encode among them), a
+    csv line holding NUL, or a line that is not UTF-8, raises MalformedRowError
+    naming the line;
     ratings outside [0, 5] are dropped and counted in ``rejected_out_of_range``. Rows become columns
     CHUNK_ROWS at a time, ids interned in first-seen order as they stream.
     """

@@ -19,15 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_context,
-                     train_common_bridge, train_meta, train_meta_mapping,
+                     save_bridge_nets, train_common_bridge, train_meta, train_meta_mapping,
                      transform_users)
 from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
-                   build_sequences, dataset_from_codes, filter_to_indices, load_domain,
-                   log_source, make_split, write_csv)
+                   build_sequences, dataset_from_codes, filter_to_indices, load_dataset,
+                   load_domain, log_source, make_split, save_dataset, write_csv)
 from .models import HEADS as BASE_MODELS
-from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, pretrain,
-                     user_representation)
+from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, load_model,
+                     pretrain, save_model, user_representation)
 from .nn import ACTIVATIONS, RowGrad, fit, softmax
 
 logger = logging.getLogger(__name__)
@@ -130,6 +131,10 @@ class ExperimentPlan:
             raise ValueError(f"base_model must be one of {BASE_MODELS}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+        for name in ("k", "seed", "max_seq_len"):
+            value = getattr(self, name)
+            if type(value) is not int and (name != "max_seq_len" or value is not None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
@@ -314,7 +319,7 @@ def _resolve_data(plan: ExperimentPlan, data_seed: int):
             load_domain(plan.task.tgt_path, plan.task.fmt))
 
 
-def domain_source(plan: ExperimentPlan, side: str) -> dict:
+def _domain_source(plan: ExperimentPlan, side: str) -> dict:
     """What identifies the ``side`` ("src" or "tgt") dataset of ``plan``: its log's
     sha256 and resolved format, or the synthetic spec and the data seed."""
     task = plan.task
@@ -358,8 +363,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     ``pretrained`` holds what plans that differ only in ``method`` share: the
     domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
     "src_model" (with their TrainRecords "tgt_trace" and "src_trace", which a
-    loaded checkpoint lacks). A dict loaded from checkpoints holds the domains
-    and models but no split. run_cold reuses what the dict holds and adds what
+    loaded checkpoint lacks). The dict ``load_checkpoints`` returns holds the
+    domains and models but no split. run_cold reuses what the dict holds and adds what
     it builds; it never modifies an entry.
     """
     seeds = _stage_seeds(plan.seed)
@@ -443,6 +448,70 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                    scoring=scoring, init=init, artifacts=artifacts)
 
 
+def save_checkpoints(cold: ColdRun, ckpt_dir: Path) -> None:
+    """Save the cold run's models and bridge. With both domain models, the methods
+    stage meta_only reads, also save both domains; each domain's meta holds where it
+    came from and the plan's beta and seed, which fix the split."""
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    if "src_model" in cold.artifacts:
+        plan = cold.plan
+        for side in ("src", "tgt"):
+            save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side),
+                         {"source": _domain_source(plan, side), "beta": plan.beta,
+                          "seed": plan.seed})
+        save_model(ckpt_dir / "src_model", cold.artifacts["src_model"])
+    if "tgt_model" in cold.artifacts:
+        save_model(ckpt_dir / "tgt_model", cold.artifacts["tgt_model"])
+    if "common_bridge" in cold.artifacts:
+        checkpoint.save_tensors(ckpt_dir / "common_bridge",
+                                {"W": cold.artifacts["common_bridge"]},
+                                {"kind": "common_bridge"})
+    if "enc" in cold.artifacts:
+        save_bridge_nets(ckpt_dir / "bridge_nets", cold.artifacts["enc"],
+                         cold.artifacts["meta"])
+
+
+def load_checkpoints(plan: ExperimentPlan, ckpt_dir) -> dict:
+    """``run_cold``'s ``pretrained`` dict ("src_model", "tgt_model", "src", "tgt") read
+    from the files ``save_checkpoints`` wrote; a checkpoint that is missing, unreadable,
+    saved for another plan, or a model whose tables do not fit its domain's users and
+    items is a ValueError naming it."""
+    loaded = {}
+    for name in ("src_model", "tgt_model", "src_domain", "tgt_domain"):
+        side, kind = name.split("_")
+        try:
+            if kind == "model":
+                loaded[name] = model = load_model(Path(ckpt_dir) / name)
+            else:
+                loaded[side], meta = load_dataset(Path(ckpt_dir) / name)
+        except FileNotFoundError as exc:
+            raise ValueError(f"missing checkpoint artifact for {name}: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"checkpoint manifest for {name} lacks the key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
+        if kind == "model":
+            if (model.head, model.k) != (plan.base_model, plan.k):
+                raise ValueError(f"{name} checkpoint has base_model {model.head!r} and k "
+                                 f"{model.k}, but the config asks for base_model "
+                                 f"{plan.base_model!r} and k {plan.k}")
+        # the split, and so which target ratings trained tgt_model, follows from beta and seed
+        elif (meta.get("beta"), meta.get("seed")) != (plan.beta, plan.seed):
+            raise ValueError(f"checkpoints in {ckpt_dir} were saved at beta {meta.get('beta')} "
+                             f"and seed {meta.get('seed')}, but the config asks for beta "
+                             f"{plan.beta} and seed {plan.seed}")
+        elif meta.get("source") != _domain_source(plan, side):
+            raise ValueError(f"{name} checkpoint in {ckpt_dir} was saved from other data "
+                             f"than the config's {side} domain")
+        else:  # pretrain sizes a model from its data, and tgt_train shares tgt's id maps
+            model, ds = loaded[f"{side}_model"], loaded[side]
+            if (model.n_users, model.n_items) != (ds.n_users, ds.n_items):
+                raise ValueError(f"{side}_model checkpoint in {ckpt_dir} has {model.n_users} "
+                                 f"users and {model.n_items} items, but {name} has "
+                                 f"{ds.n_users} users and {ds.n_items} items")
+    return loaded
+
+
 # ---------------------------------------------------------------------------
 # warm stage
 
@@ -500,8 +569,8 @@ def run_plan(plan: ExperimentPlan, pretrained: dict | None = None):
 # ---------------------------------------------------------------------------
 # suites
 
-def _report_row(plan: ExperimentPlan, report: MetricsReport, seconds: float,
-                record_runtime: bool) -> dict:
+def report_row(plan: ExperimentPlan, report: MetricsReport, seconds: float,
+               record_runtime: bool) -> dict:
     return {"task": plan.task.label, "beta": plan.beta, "method": plan.method,
             "stage": report.stage, "seed": plan.seed, "mae": report.mae,
             "rmse": report.rmse, "n_eval": report.n_eval,
@@ -524,8 +593,8 @@ def _plan_rows(plan: ExperimentPlan, record_runtime: bool, attention_path: Path 
         logger.exception("plan failed: %s %s beta=%s seed=%s",
                          plan.task.label, plan.method, plan.beta, plan.seed)
         return [_failed_row(plan, str(exc))]
-    return [_report_row(plan, cold.report, t_cold, record_runtime),
-            _report_row(plan, warm, t_warm, record_runtime)]
+    return [report_row(plan, cold.report, t_cold, record_runtime),
+            report_row(plan, warm, t_warm, record_runtime)]
 
 
 def _group_rows(jobs) -> list:
@@ -651,6 +720,19 @@ def write_attention_csv(cold: ColdRun, path) -> None:
             map(item_ids.__getitem__, items[b].tolist()),
             map("{:.8f}".format, weights[b].tolist())) for b in blocks))
     logger.info("wrote %s (%d rows)", path, len(users))
+
+
+def write_embeddings_csv(cold: ColdRun, path) -> None:
+    """Test users' initial and train overlap users' target vectors: user, kind, d0..."""
+    vectors = [("transformed", zip(cold.split.test_users, cold.init))]
+    tgt_model = cold.artifacts.get("tgt_model")
+    if tgt_model is not None:
+        vectors.append(("target", ((u, user_representation(tgt_model, cold.tgt.users.index(u)))
+                                   for u in cold.split.train_overlap_users)))
+    write_csv(path, ["user", "kind"] + [f"d{i}" for i in range(cold.plan.k)],
+              ([u, kind] + [f"{x:.8f}" for x in vec]
+               for kind, pairs in vectors for u, vec in pairs))
+    logger.info("wrote %s", path)
 
 
 def write_suite_csv(rows, path) -> None:

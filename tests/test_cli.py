@@ -13,7 +13,7 @@ import pytest
 
 from bridgerec import pipeline
 from bridgerec.cli import build_plan, main
-from bridgerec.data import FORMATS
+from bridgerec.data import FORMATS, load_dataset
 from bridgerec.models import DomainModel, TrainConfig, save_model
 from bridgerec.pipeline import (BASE_MODELS, METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, sweep_plans)
@@ -346,6 +346,37 @@ def test_meta_only_names_a_truncated_model_checkpoint(tmp_path, capsys, checkpoi
     blob.write_bytes(blob.read_bytes()[:-8])
     _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
               f"{name} checkpoint in {copy} is unreadable: checkpoint blob size")
+
+
+def test_meta_only_names_the_first_broken_checkpoint_in_load_order(tmp_path, capsys,
+                                                                   checkpointed):
+    cfg, ckpt, _ = checkpointed["files"]
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    blob = copy / "tgt_model.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    (copy / "src_domain.bin").unlink()
+    _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
+              f"tgt_model checkpoint in {copy} is unreadable: checkpoint blob size")
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+@pytest.mark.parametrize("field", ["users", "items"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_meta_only_rejects_a_model_whose_tables_do_not_fit_its_domain(
+        tmp_path, capsys, checkpointed, side, field, delta):
+    # a model with too few rows fails on an index, one with too many runs silently
+    cfg, ckpt, _ = checkpointed["files"]
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    ds, _ = load_dataset(copy / f"{side}_domain")
+    sizes = {"users": ds.n_users, "items": ds.n_items}
+    sizes[field] += delta
+    save_model(copy / f"{side}_model", DomainModel(sizes["users"], sizes["items"], cfg["k"]))
+    _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
+              f"{side}_model checkpoint in {copy} has {sizes['users']} users and "
+              f"{sizes['items']} items, but {side}_domain has {ds.n_users} users and "
+              f"{ds.n_items} items")
 
 
 @pytest.mark.parametrize("command", ["run", "export"])

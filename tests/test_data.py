@@ -211,6 +211,18 @@ def test_id_holding_nul_is_malformed(tmp_path, fmt, header_lines, field):
         load_domain(path, fmt)
 
 
+@pytest.mark.parametrize("column", ["rating", "note"])
+def test_csv_line_holding_nul_is_malformed(tmp_path, column):
+    # the same rule on every Python: csv.reader rejects NUL itself only before 3.11
+    rows = [{"rating": "4.0", "note": "a"}, {"rating": "4.0", "note": "a"}]
+    rows[1][column] += "\x00"
+    path = tmp_path / "log.csv"
+    path.write_text("user,item,rating,timestamp,note\n"
+                    + "".join(f"u{n},x,{r['rating']},1,{r['note']}\n" for n, r in enumerate(rows)))
+    with pytest.raises(MalformedRowError, match="^line 3: line contains NUL$"):
+        load_domain(path)
+
+
 @pytest.mark.parametrize("field", ["reviewerID", "asin"])
 @pytest.mark.parametrize("escaped", ["\\ud800", "a\\udfff", "\\udc80b", "\\ude00\\ud83d"])
 def test_jsonl_id_that_utf8_cannot_encode_is_malformed(tmp_path, field, escaped):

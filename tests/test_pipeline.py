@@ -19,9 +19,9 @@ from bridgerec.bridge import CharacteristicEncoder, TransferContext, transform_u
 from bridgerec.models import TrainConfig, predict_batch, pretrain, user_representation
 from bridgerec.pipeline import (METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, _plan_rows, compute_metrics,
-                                generate_synthetic, run_cold, run_suite,
-                                run_warm, sweep_plans, write_attention_csv, write_suite_csv,
-                                write_suite_json)
+                                generate_synthetic, load_checkpoints, run_cold, run_suite,
+                                run_warm, save_checkpoints, sweep_plans, write_attention_csv,
+                                write_suite_csv, write_suite_json)
 from conftest import traced_peak
 
 SMALL = dict(n_users_src=140, n_users_tgt=140, n_overlap=100,
@@ -86,6 +86,10 @@ def test_plan_rejects_bad_fields():
         ExperimentPlan(task=task, method="tgt", k=0)
     with pytest.raises(ValueError, match="activation must be one of"):
         ExperimentPlan(task=task, method="tgt", activation="sigmoid")
+    for key, value in (("k", 2.5), ("k", True), ("seed", 1.5), ("max_seq_len", 2.5),
+                       ("max_seq_len", 3.0)):
+        with pytest.raises(ValueError, match=f"^{key} must be an int, got {value!r}$"):
+            ExperimentPlan(task=task, method="tgt", **{key: value})
 
 
 def test_plan_enforces_lr_grid_unless_overridden():
@@ -237,6 +241,25 @@ def test_cold_stage_never_reads_warm_rows():
     assert not (warm_rows & set(cold.split.target_train_indices.tolist()))
     for u in cold.split.test_users:
         assert not (warm_rows & set(cold.split.cold[u].tolist()))
+
+
+@pytest.mark.parametrize("method", ["emcdr", "ptupcdr"])
+def test_run_cold_from_saved_checkpoints_repeats_the_cold_run(tmp_path, monkeypatch, method):
+    plan = _plan(SyntheticSpec(**SMALL), method, pretrain=TrainConfig(lr=0.01, epochs=5),
+                 bridge=TrainConfig(lr=0.01, epochs=3))
+    cold = run_cold(plan)
+    save_checkpoints(cold, tmp_path / "ckpt")
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a run from checkpoints loaded, generated or pre-trained")
+
+    for name in ("load_domain", "generate_synthetic", "pretrain"):
+        monkeypatch.setattr(pipeline, name, rebuilt)
+    again = run_cold(plan, load_checkpoints(plan, tmp_path / "ckpt"))
+    # a checkpoint holds no pre-training record
+    trained = {k: v for k, v in cold.report.traces.items() if k not in ("src", "tgt")}
+    assert again.report == replace(cold.report, traces=trained)
+    np.testing.assert_array_equal(again.init, cold.init)
 
 
 # ---------------------------------------------------------------------------
