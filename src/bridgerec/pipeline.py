@@ -364,8 +364,8 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
     "src_model" (with their TrainRecords "tgt_trace" and "src_trace", which a
     loaded checkpoint lacks). The dict ``load_checkpoints`` returns holds the
-    domains and models but no split. run_cold reuses what the dict holds and adds what
-    it builds; it never modifies an entry.
+    domains and models but no split. run_cold reuses what the dict holds and
+    adds what it builds; it never modifies an entry.
     """
     seeds = _stage_seeds(plan.seed)
     shared = {} if pretrained is None else pretrained
