@@ -2,7 +2,9 @@
 
 Loading and splitting are pure functions of their inputs; a SplitPlan is
 immutable once built and serializes to canonical json (same beta and seed
-give byte-identical files). A loaded dataset saves to a checkpoint and loads
+give byte-identical files). A log is read in one pass, every line through one
+check, and ``rows_by_user`` orders each user's rows by time for both the
+sequences and the split. A loaded dataset saves to a checkpoint and loads
 back exactly, so a later run need not parse its log again.
 """
 
@@ -169,17 +171,25 @@ def _parse_fields(user, item, rating, timestamp, line_no: int):
     return user, item, r, ts
 
 
-def _without_nul(lines):
-    """``lines``, raising MalformedRowError at the first one holding NUL, which
-    csv.reader itself rejects only before Python 3.11."""
-    for line_no, line in enumerate(lines, start=1):
+def _checked_lines(f):
+    """The lines of ``f``, opened with errors="surrogateescape"; the first line
+    holding a byte that is not UTF-8, or else NUL (which csv.reader itself
+    rejects only before Python 3.11), raises MalformedRowError naming it."""
+    for line_no, line in enumerate(f, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise MalformedRowError(
+                    f"line {line_no}: byte 0x{byte:02x} is not UTF-8") from None
         if "\x00" in line:
             raise MalformedRowError(f"line {line_no}: line contains NUL")
         yield line
 
 
 def _iter_csv(lines):
-    reader = csv.reader(_without_nul(lines))
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
         if header is None:
@@ -214,18 +224,6 @@ def _iter_jsonl(lines):
         yield _parse_fields(rec.get(JSONL_FIELDS["user"]), rec.get(JSONL_FIELDS["item"]),
                             rec.get(JSONL_FIELDS["rating"]), rec.get(JSONL_FIELDS["timestamp"]),
                             line_no)
-
-
-def _utf8_lines(f):
-    """The lines of ``f``, opened with errors="surrogateescape"; a line holding a
-    byte that is not UTF-8 raises MalformedRowError naming it."""
-    for line_no, line in enumerate(f, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise MalformedRowError(f"line {line_no}: byte 0x{byte:02x} is not UTF-8") from None
-        yield line
 
 
 def _coded_chunk(rows, user_ids: dict[str, int], item_ids: dict[str, int]):
@@ -278,12 +276,13 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     ``fmt`` is "csv" (header user,item,rating,timestamp) or "jsonl" (also
     "json-lines" or "json_lines": reviewerID/asin/overall/unixReviewTime
     records, one per line); when None it is inferred from the file suffix.
-    The log is read as UTF-8, a leading byte-order mark skipped. A malformed
-    row (an id holding NUL or a character UTF-8 cannot encode among them), a
-    csv line holding NUL, or a line that is not UTF-8, raises MalformedRowError
-    naming the line;
-    ratings outside [0, 5] are dropped and counted in ``rejected_out_of_range``. Rows become columns
-    CHUNK_ROWS at a time, ids interned in first-seen order as they stream.
+    The log is read once, as UTF-8, a leading byte-order mark skipped. A line
+    that is not UTF-8 or holds a NUL byte, in either format, or a malformed row
+    (among them a json-lines id whose escapes give NUL or a character UTF-8
+    cannot encode) raises MalformedRowError naming the first such line;
+    ratings outside [0, 5] are dropped and counted in ``rejected_out_of_range``.
+    Rows become columns CHUNK_ROWS at a time, ids interned in first-seen order
+    as they stream.
     """
     path = Path(path)
     if not path.exists():
@@ -295,23 +294,13 @@ def load_domain(path, fmt: str | None = None) -> DomainDataset:
     item_ids: dict[str, int] = {}
     columns = ([], [], [], [])  # per-chunk pieces of each dataset column
     rejected = 0
-    with open(path, encoding="utf-8-sig", newline=newline) as f:
-        rows = parse(f)
-        try:
-            while (coded := _coded_chunk(rows, user_ids, item_ids)) is not None:
-                pieces, dropped = coded
-                rejected += dropped
-                for column, piece in zip(columns, pieces):
-                    column.append(piece)
-        except UnicodeDecodeError:
-            # The decoder reads a buffer of lines at a time, so its error names no line
-            # and comes before the rows ahead of it in the buffer are parsed. Parsing
-            # again line by line raises the first bad line's MalformedRowError.
-            with open(path, encoding="utf-8-sig", errors="surrogateescape",
-                      newline=newline) as g:
-                for _ in parse(_utf8_lines(g)):
-                    pass
-            raise
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as f:
+        rows = parse(_checked_lines(f))
+        while (coded := _coded_chunk(rows, user_ids, item_ids)) is not None:
+            pieces, dropped = coded
+            rejected += dropped
+            for column, piece in zip(columns, pieces):
+                column.append(piece)
     ds = dataset_from_codes(user_ids, item_ids,
                             *(_joined(c, d) for c, d in zip(columns, DATASET_DTYPES)), rejected)
     logger.info("loaded %s: %d ratings, %d users, %d items (%d out-of-range rows rejected)",
@@ -379,25 +368,20 @@ def filter_to_indices(ds: DomainDataset, indices: np.ndarray) -> DomainDataset:
 
 
 def rows_by_user(ds: DomainDataset) -> dict[int, np.ndarray]:
-    """Rating-row indices grouped by user, each group in original file order."""
-    order = np.argsort(ds.user_idx, kind="stable")
-    groups: dict[int, np.ndarray] = {}
+    """Rating-row indices grouped by user (keys in index order), each group
+    ordered by timestamp with file order breaking ties."""
+    order = np.lexsort((ds.timestamp, ds.user_idx))  # stable: ties keep file order
     if order.size == 0:
-        return groups
-    sorted_users = ds.user_idx[order]
-    boundaries = np.flatnonzero(np.diff(sorted_users)) + 1
-    for chunk in np.split(order, boundaries):
-        groups[int(ds.user_idx[chunk[0]])] = chunk
-    return groups
+        return {}
+    users = ds.user_idx[order]
+    boundaries = np.flatnonzero(np.diff(users)) + 1
+    return dict(zip(users[np.r_[0, boundaries]].tolist(), np.split(order, boundaries)))
 
 
 def build_sequences(ds: DomainDataset) -> dict[int, np.ndarray]:
-    """Per-user item indices ordered by timestamp (file order breaks ties)."""
-    seqs = {}
-    for user, rows in rows_by_user(ds).items():
-        order = np.argsort(ds.timestamp[rows], kind="stable")
-        seqs[user] = ds.item_idx[rows[order]]
-    return seqs
+    """Per-user item indices in ``rows_by_user`` order: by timestamp, file order
+    breaking ties."""
+    return {user: ds.item_idx[rows] for user, rows in rows_by_user(ds).items()}
 
 
 def overlap_users(src: DomainDataset, tgt: DomainDataset) -> set[str]:
@@ -490,8 +474,7 @@ def make_split(src: DomainDataset, tgt: DomainDataset, beta: float, seed: int) -
     warm: dict[str, np.ndarray] = {}
     without_warm = []
     for u in test:
-        rows = groups[tgt.users.index(u)]
-        rows = rows[np.argsort(tgt.timestamp[rows], kind="stable")]
+        rows = groups[tgt.users.index(u)]  # already in time order
         n_cold = (len(rows) + 1) // 2
         cold[u] = rows[:n_cold]
         warm[u] = rows[n_cold:]

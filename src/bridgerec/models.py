@@ -21,6 +21,12 @@ logger = logging.getLogger(__name__)
 HEADS = ("mf", "gmf", "two_tower")
 
 
+def check_int(name: str, value, allow_none: bool = False) -> None:
+    """Raise ValueError unless ``value`` is an int (a bool is not), or None when allowed."""
+    if type(value) is not int and not (allow_none and value is None):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for one optimization stage."""
@@ -31,6 +37,8 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience"):
+            check_int(name, getattr(self, name), allow_none=name == "patience")
         if not 0.0 <= self.lr < np.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:

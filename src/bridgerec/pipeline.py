@@ -27,8 +27,8 @@ from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, S
                    build_sequences, dataset_from_codes, filter_to_indices, load_dataset,
                    load_domain, log_source, make_split, save_dataset, write_csv)
 from .models import HEADS as BASE_MODELS
-from .models import (TrainConfig, cmf_train, dot_mse, item_scoring_vectors, load_model,
-                     pretrain, save_model, user_representation)
+from .models import (TrainConfig, check_int, cmf_train, dot_mse, item_scoring_vectors,
+                     load_model, pretrain, save_model, user_representation)
 from .nn import ACTIVATIONS, RowGrad, fit, softmax
 
 logger = logging.getLogger(__name__)
@@ -83,6 +83,9 @@ class SyntheticSpec:
     identity_bridge: bool = False
 
     def __post_init__(self):
+        for name in ("n_users_src", "n_users_tgt", "n_overlap", "n_items_src", "n_items_tgt",
+                     "k_true", "ratings_per_user", "n_clusters"):
+            check_int(name, getattr(self, name))
         if self.bridge_family not in BRIDGE_FAMILIES:
             raise ValueError(f"bridge_family must be one of {BRIDGE_FAMILIES}")
         if self.n_overlap < 0:
@@ -132,9 +135,7 @@ class ExperimentPlan:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         for name in ("k", "seed", "max_seq_len"):
-            value = getattr(self, name)
-            if type(value) is not int and (name != "max_seq_len" or value is not None):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            check_int(name, getattr(self, name), allow_none=name == "max_seq_len")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:

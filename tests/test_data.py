@@ -17,7 +17,8 @@ from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.data import (CSV_FIELDS, DATASET_COLUMNS, JSONL_FIELDS, RATING_MAX, RATING_MIN,
                             DomainDataset, IdMap, MalformedRowError, build_sequences,
                             dataset_from_columns, filter_to_indices, load_dataset, load_domain,
-                            log_source, make_split, overlap_users, save_dataset, verify_split)
+                            log_source, make_split, overlap_users, rows_by_user, save_dataset,
+                            verify_split)
 from conftest import make_dataset, traced_peak
 
 
@@ -211,16 +212,43 @@ def test_id_holding_nul_is_malformed(tmp_path, fmt, header_lines, field):
         load_domain(path, fmt)
 
 
-@pytest.mark.parametrize("column", ["rating", "note"])
-def test_csv_line_holding_nul_is_malformed(tmp_path, column):
-    # the same rule on every Python: csv.reader rejects NUL itself only before 3.11
-    rows = [{"rating": "4.0", "note": "a"}, {"rating": "4.0", "note": "a"}]
-    rows[1][column] += "\x00"
-    path = tmp_path / "log.csv"
-    path.write_text("user,item,rating,timestamp,note\n"
-                    + "".join(f"u{n},x,{r['rating']},1,{r['note']}\n" for n, r in enumerate(rows)))
-    with pytest.raises(MalformedRowError, match="^line 3: line contains NUL$"):
+@pytest.mark.parametrize("fmt, column", [("csv", "rating"), ("csv", "note"),
+                                         ("jsonl", "overall"), ("jsonl", "summary")],
+                         ids=["rating", "note", "jsonl-overall", "jsonl-summary"])
+def test_csv_line_holding_nul_is_malformed(tmp_path, fmt, column):
+    # the same rule on every Python (csv.reader rejects NUL itself only before 3.11)
+    # and in both formats: a raw NUL byte, in a field the loader reads or in one it skips
+    if fmt == "csv":
+        header, record, values = ("user,item,rating,timestamp,note\n", "u{},x,{},1,{}\n",
+                                  {"rating": "4.0", "note": "a"})
+    else:
+        header, record, values = ("", '{{"reviewerID": "u{}", "asin": "x", "overall": {}, '
+                                  '"unixReviewTime": 1, "summary": "{}"}}\n',
+                                  {"overall": "4.0", "summary": "a"})
+    bad = {**values, column: values[column] + "\x00"}
+    text = header + record.format(0, *values.values()) + record.format(1, *bad.values())
+    path = tmp_path / f"log.{fmt}"
+    path.write_text(text)
+    line = 3 if fmt == "csv" else 2
+    with pytest.raises(MalformedRowError, match=f"^line {line}: line contains NUL$"):
         load_domain(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_log_with_a_bad_byte_past_the_first_chunk_is_opened_once(tmp_path, monkeypatch, fmt):
+    # one pass: the first bad line is named as the stream reaches it, not on a second read
+    path = tmp_path / f"log.{fmt}"
+    path.write_bytes(_log_bytes(fmt, [b"u%d" % j for j in range(3000)] + [b"\x80"]))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    with pytest.raises(MalformedRowError, match="byte 0x80 is not UTF-8$"):
+        load_domain(path, fmt)
+    assert opened == [path]
 
 
 @pytest.mark.parametrize("field", ["reviewerID", "asin"])
@@ -739,6 +767,24 @@ def test_sequences_are_time_ordered_with_stable_ties():
     seqs = build_sequences(ds)
     a = ds.users.index("a")
     assert [ds.items.external(i) for i in seqs[a]] == ["i1", "i0", "i2"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3)), max_size=30))
+def test_rows_by_user_orders_each_group_by_time_then_file_position(rows):
+    # few users and timestamps, so groups interleave and hold ties and backward steps
+    ds = dataset_from_columns([u for u, _ in rows], [f"i{n}" for n in range(len(rows))],
+                              [3.0] * len(rows), [t for _, t in rows])
+    groups = rows_by_user(ds)
+    users = sorted(set(ds.user_idx.tolist()))
+    assert list(groups) == users
+    for user in users:
+        ref = sorted(np.flatnonzero(ds.user_idx == user).tolist(),
+                     key=lambda n: (ds.timestamp[n], n))
+        assert groups[user].tolist() == ref
+    seqs = build_sequences(ds)
+    assert {u: s.tolist() for u, s in seqs.items()} == {
+        u: ds.item_idx[g].tolist() for u, g in groups.items()}
 
 
 def test_filter_to_indices_keeps_maps():

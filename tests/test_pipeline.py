@@ -90,6 +90,11 @@ def test_plan_rejects_bad_fields():
                        ("max_seq_len", 3.0)):
         with pytest.raises(ValueError, match=f"^{key} must be an int, got {value!r}$"):
             ExperimentPlan(task=task, method="tgt", **{key: value})
+    # a stage's int fields follow the same rule, checked as the TrainConfig is built
+    for key, value in (("epochs", 1.5), ("epochs", True), ("batch_size", 2.5),
+                       ("patience", 0.5)):
+        with pytest.raises(ValueError, match=f"^{key} must be an int, got {value!r}$"):
+            ExperimentPlan(task=task, method="tgt", bridge=TrainConfig(**{key: value}))
 
 
 def test_plan_enforces_lr_grid_unless_overridden():
@@ -171,6 +176,11 @@ def test_synthetic_rejects_infeasible_specs():
         generate_synthetic(SyntheticSpec(bridge_family="cubic"), seed=0)
     with pytest.raises(ValueError, match="n_overlap must be >= 0, got -2"):
         generate_synthetic(SyntheticSpec(n_overlap=-2), seed=0)
+    for name in ("n_users_src", "n_users_tgt", "n_overlap", "n_items_src", "n_items_tgt",
+                 "k_true", "ratings_per_user", "n_clusters"):
+        for value in (float(getattr(SyntheticSpec(), name)), True):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+                generate_synthetic(SyntheticSpec(**{name: value}), seed=0)
 
 
 def test_zero_overlap_world_cannot_run():

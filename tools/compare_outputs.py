@@ -85,12 +85,12 @@ def write_logs(log_dir: Path, n_users: int = 150, reject_every: int = 0) -> None
                              n * 100 + t))
         if reject_every:
             rows[::reject_every] = [(u, i, 5.5, t) for u, i, _, t in rows[::reject_every]]
-        with open(log_dir / f"{domain}.csv", "w", newline="") as f:
+        with open(log_dir / f"{domain}.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["user", "item", "rating", "timestamp"])
             writer.writerows((u, i, repr(r), t) for u, i, r, t in rows)
         if domain == "movies":
-            with open(log_dir / "movies.jsonl", "w") as f:
+            with open(log_dir / "movies.jsonl", "w", encoding="utf-8") as f:
                 f.writelines(json.dumps({"reviewerID": u, "asin": i, "overall": r,
                                          "unixReviewTime": t}) + "\n" for u, i, r, t in rows)
 
@@ -142,7 +142,7 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
         run_dir = out / name
         run_dir.mkdir(parents=True)
         cfg_path = run_dir.parent / f"{name}.json"
-        cfg_path.write_text(json.dumps(cfg, indent=2))
+        cfg_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
         what = "both" if cfg["method"] in BRIDGE_NET_METHODS else "embeddings"
         jobs += [(["run", str(cfg_path)], run_dir),
                  (["export", str(cfg_path), "--what", what], run_dir)]
@@ -150,13 +150,14 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
         jobs.append((["prepare", str(logs / "books.csv"), str(logs / "movies.jsonl"),
                       "--beta", "0.3", "--seed", "3"], out / name))
     suite_path = out / "suite-config.json"
-    suite_path.write_text(json.dumps(suite_config(log_dir), indent=2))
+    suite_path.write_text(json.dumps(suite_config(log_dir), indent=2), encoding="utf-8")
     for name, flags in (("suite-serial", []), ("suite-parallel", ["--parallel", "2"])):
         jobs.append((["suite", str(suite_path), "--export-attention", *flags], out / name))
     failed = []
     for args, run_dir in jobs:
         cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=out)
+        proc = subprocess.run(cmd, env=env, capture_output=True, encoding="utf-8",
+                              errors="replace", cwd=out)
         if proc.returncode != 0:
             failed.append(f"{src}: {' '.join(args)} exited {proc.returncode}: "
                           f"{proc.stderr.strip()}")
@@ -170,7 +171,7 @@ def files_under(root: Path) -> set[Path]:
 def max_metric_diff(a: Path, b: Path) -> float:
     """Largest mae or rmse difference of two report or suite row lists, skipping
     rows of failed plans; inf when the lists differ in length."""
-    rows_a, rows_b = json.loads(a.read_text()), json.loads(b.read_text())
+    rows_a, rows_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
     if len(rows_a) != len(rows_b):
         return float("inf")
     return max((abs(ra[m] - rb[m]) for ra, rb in zip(rows_a, rows_b)
@@ -181,7 +182,7 @@ def max_metric_diff(a: Path, b: Path) -> float:
 def read_tensors(blob_path: Path) -> list[tuple[list, str, np.ndarray]]:
     """(shape, dtype, values) of each tensor of a checkpoint blob, in manifest order;
     a tensor's dtype is its entry's, else the manifest's."""
-    manifest = json.loads(blob_path.with_suffix(".json").read_text())
+    manifest = json.loads(blob_path.with_suffix(".json").read_text(encoding="utf-8"))
     blob, offset, tensors = blob_path.read_bytes(), 0, []
     for entry in manifest["tensors"]:
         dtype = np.dtype(entry.get("dtype", manifest["dtype"]))
