@@ -37,8 +37,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(q1, median, q3) of ``values``."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def relative(value: float, base: float) -> float:
