@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .models import (DomainModel, item_representations, item_scoring_vectors,
+from .models import (DomainModel, check_int, item_representations, item_scoring_vectors,
                      user_representations)
 from .nn import TwoLayerNet, fit, prefix_params, table_grad, uniform_init
 
@@ -44,8 +44,7 @@ class CharacteristicEncoder:
 
     def __init__(self, k: int, max_seq_len: int | None = 20, activation: str = "relu",
                  rng: np.random.Generator | None = None):
-        if max_seq_len is not None and type(max_seq_len) is not int:
-            raise ValueError(f"max_seq_len must be None or an int, got {max_seq_len!r}")
+        check_int("max_seq_len", max_seq_len, allow_none=True)
         if max_seq_len is not None and max_seq_len < 1:
             raise ValueError(f"max_seq_len must be None or >= 1, got {max_seq_len}")
         self.k = k

@@ -76,12 +76,16 @@ def test_a_higher_is_better_metric_is_worse_when_it_falls(tmp_path, capsys, chan
     assert rows[key].split()[-2:] == [wins, verdict]
 
 
-def test_a_wide_parent_spread_is_unresolved(tmp_path, capsys):
+@pytest.mark.parametrize("change_values, verdict", [
+    ([0.95] * 4, "unresolved"),
+    ([0.5, 0.55, 0.58, 0.59], "ok"),  # every change run beats every parent run
+])
+def test_a_wide_parent_spread_is_unresolved(tmp_path, capsys, change_values, verdict):
     key = "wide_suite/setup_s"
     code, rows, _ = _compare(tmp_path, capsys, _runs_of(key, [0.6, 0.9, 1.0, 1.3]),
-                             _runs_of(key, [0.95] * 4))
+                             _runs_of(key, change_values))
     assert code == 0
-    assert rows[key].split()[-1] == "unresolved"
+    assert rows[key].split()[-1] == verdict
 
 
 def test_a_failed_run_or_unequal_counts_fail_the_comparison(tmp_path, capsys):
@@ -92,6 +96,19 @@ def test_a_failed_run_or_unequal_counts_fail_the_comparison(tmp_path, capsys):
     code, _, out = _compare(tmp_path / "counts", capsys, _runs_of(key, [1.0, 1.0]),
                             _runs_of(key, [1.0]))
     assert code == 1 and "FAIL unequal run counts: 2 parent, 1 change" in out
+
+
+def test_an_empty_run_file_or_side_fails_the_comparison(tmp_path, capsys):
+    key = "wide_suite/wall_s"
+    parent = _write_runs(tmp_path / "parent", [(True, {key: 1.0})] * 2)
+    change = _write_runs(tmp_path / "change", [(True, {key: 1.0})])
+    (change / "run_01.json").write_text("", encoding="utf-8")
+    assert bench_compare.main([str(parent), str(change)]) == 1
+    assert f"FAIL {change / 'run_01.json'} has no result line" in capsys.readouterr().out
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert bench_compare.main([str(parent), str(empty)]) == 1
+    assert "FAIL no runs: 2 parent, 0 change" in capsys.readouterr().out
 
 
 def test_metrics_outside_the_end_to_end_list_are_ignored(tmp_path, capsys):

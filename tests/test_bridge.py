@@ -436,7 +436,7 @@ def test_load_bridge_nets_rejects_a_k_that_is_not_an_int_of_at_least_one(tmp_pat
 
 @pytest.mark.parametrize("max_seq_len", [0, -3, 2.5, 3.0, True])
 def test_encoder_rejects_a_sequence_cap_below_one(tmp_path, max_seq_len):
-    message = "max_seq_len must be None or " + (">= 1" if type(max_seq_len) is int else "an int")
+    message = "max_seq_len must be " + ("None or >= 1" if type(max_seq_len) is int else "an int")
     with pytest.raises(ValueError, match=message):
         _enc(max_seq_len=max_seq_len)
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))

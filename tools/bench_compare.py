@@ -11,10 +11,11 @@ the change did better. A metric breaches when the change's median is worse
 than the parent's, in the metric's ``better`` direction, by more than its
 ``bound`` (a fraction of the parent median). It is marked unresolved when
 the parent's IQR, as a fraction of its median, is wider than the bound, so
-the runs cannot tell a change of that size from noise. The tool exits 1 on
-a breach, on unequal run counts, on a metric one side lacks, or on a run
-whose ``correct`` is false; else 0. It reads BENCHMARK.json and never
-writes it.
+the runs cannot tell a change of that size from noise, unless every run of
+the change did better than every run of the parent. The tool exits 1 on a
+breach, on unequal run counts, on a metric one side lacks, on a run file
+with no result line, or on a run whose ``correct`` is false; else 0. It
+reads BENCHMARK.json and never writes it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,19 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def load_runs(run_dir: Path) -> list[dict]:
-    """The result object of each run file under ``run_dir``, in file-name order."""
-    return [json.loads(p.read_text(encoding="utf-8").strip().splitlines()[-1])
-            for p in sorted(run_dir.iterdir()) if p.is_file()]
+def load_runs(run_dir: Path, errors: list[str]) -> list[dict]:
+    """The result object of each run file under ``run_dir``, in file-name order;
+    a file without one is recorded in ``errors`` and skipped."""
+    runs = []
+    for p in sorted(run_dir.iterdir()):
+        if not p.is_file():
+            continue
+        lines = p.read_text(encoding="utf-8", errors="replace").strip().splitlines()
+        try:
+            runs.append(json.loads(lines[-1]))
+        except (IndexError, json.JSONDecodeError):
+            errors.append(f"{p} has no result line")
+    return runs
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -40,15 +50,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def relative(value: float, base: float) -> float:
-    """(value - base) / |base|; 0 when both are 0."""
-    if base == 0:
-        return 0.0 if value == 0 else float("inf") if value > 0 else float("-inf")
-    return (value - base) / abs(base)
-
-
 def compare(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> tuple[list, list]:
-    """One row per workload and end-to-end metric, and the errors that fail the comparison."""
+    """One row per workload and end-to-end metric, and the errors that fail the comparison;
+    no rows when either side has no runs."""
+    if not parent or not change:
+        return [], [f"no runs: {len(parent)} parent, {len(change)} change"]
     errors = []
     if len(parent) != len(change):
         errors.append(f"unequal run counts: {len(parent)} parent, {len(change)} change")
@@ -68,10 +74,11 @@ def compare(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> t
         spec = specs[key.rpartition("/")[2]]
         sign = 1.0 if spec["better"] == "lower" else -1.0  # > 0 means worse
         (p1, pm, p3), (c1, cm, c3) = quartiles(sides[0]), quartiles(sides[1])
-        change_rel = relative(cm, pm)
+        change_rel = (cm - pm) / abs(pm)
         wins = sum(sign * (c - p) < 0 for p, c in zip(*sides))
+        dominates = max(sign * c for c in sides[1]) < min(sign * p for p in sides[0])
         verdict = "ok"
-        if p3 - p1 > spec["bound"] * abs(pm):
+        if p3 - p1 > spec["bound"] * abs(pm) and not dominates:
             verdict = "unresolved"
         if sign * change_rel > spec["bound"]:
             verdict = "BREACH"
@@ -80,13 +87,15 @@ def compare(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> t
     return rows, errors
 
 
-def main(argv: list[str], benchmark: Path = BENCHMARK) -> int:
+def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    parent, change = (load_runs(Path(a)) for a in argv)
-    end_to_end = json.loads(benchmark.read_text(encoding="utf-8"))["end_to_end"]
-    rows, errors = compare(parent, change, end_to_end)
+    errors = []
+    parent, change = (load_runs(Path(a), errors) for a in argv)
+    end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    rows, compare_errors = compare(parent, change, end_to_end)
+    errors += compare_errors
     print(f"{'workload/metric':<32} {'parent median [IQR]':>28} {'change median [IQR]':>28} "
           f"{'change':>8} {'wins':>6}  verdict")
     for key, pm, p1, p3, cm, c1, c3, change_rel, wins, n, verdict in rows:
