@@ -19,9 +19,9 @@ from pathlib import Path
 
 from .data import FORMATS, load_domain, make_split, write_csv
 from .models import TrainConfig
-from .pipeline import (BRIDGE_NET_METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
-                       SyntheticTask, load_checkpoints, report_row, run_cold, run_plan,
-                       run_suite, save_checkpoints, sweep_plans, write_attention_csv,
+from .pipeline import (BRIDGE_NET_METHODS, METHOD_FIELDS, AmazonTask, ExperimentPlan,
+                       SyntheticSpec, SyntheticTask, load_checkpoints, report_row, run_cold,
+                       run_plan, run_suite, save_checkpoints, sweep_plans, write_attention_csv,
                        write_embeddings_csv, write_suite_csv, write_suite_json)
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,7 @@ _SUITE_SCHEMA = {"base": "object", "methods": "list[str] | None",
                  "betas": "list[float] | None", "seeds": "list[int] | None",
                  "parallelism": "int", "record_runtime": "bool", "out_dir": "str | None",
                  "export_attention": "bool"}
+_METHOD_KEYS = set().union(*METHOD_FIELDS.values())
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "object": dict}
 
 
@@ -123,10 +124,14 @@ def build_plan(cfg: dict, seed_override: int | None = None) -> ExperimentPlan:
         raise ConfigError(str(exc)) from None
 
 
-def _check_activation(cfg: dict, plans) -> None:
-    """Reject an ``activation`` that no net of ``plans`` would use."""
-    if "activation" in cfg and not any(plan.builds_net for plan in plans):
-        raise ConfigError("activation has no effect: no plan builds a net (ptupcdr, two_tower)")
+def _check_reads(cfg: dict, plans) -> None:
+    """Reject a ``METHOD_FIELDS`` key of ``cfg`` that no plan of ``plans`` reads."""
+    unread = sorted(_METHOD_KEYS.intersection(cfg).difference(*(p.reads for p in plans)))
+    if unread:
+        methods = "/".join(dict.fromkeys(p.method for p in plans))
+        models = "/".join(dict.fromkeys(p.base_model for p in plans if "base_model" in p.reads))
+        given = f" with base_model {models}" if unread[0] == "activation" and models else ""
+        raise ConfigError(f"{unread[0]} has no effect: no {methods} plan{given} reads it")
 
 
 def _load_json(path) -> dict:
@@ -160,7 +165,7 @@ def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
     if stage != "meta_only":
         raise ConfigError(f"got stage {stage!r}: stage is 'full' or 'meta_only', "
                           "and only 'meta_only' reads checkpoint_dir")
-    if plan.method in ("tgt", "cmf"):
+    if "bridge" not in plan.reads:  # meta_only trains the bridge stage again, and only it
         raise ConfigError(f"stage 'meta_only' does not apply to method {plan.method!r}")
     ckpt_dir = cfg.get("checkpoint_dir")
     if not ckpt_dir:
@@ -192,7 +197,7 @@ def cmd_prepare(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
     plan = build_plan(cfg, args.seed)
-    _check_activation(cfg, [plan])
+    _check_reads(cfg, [plan])
     pretrained = _load_pretrained(cfg, plan)
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
 
@@ -221,7 +226,7 @@ def cmd_suite(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg.get("seeds")
     plans = sweep_plans(base, methods=cfg.get("methods"), betas=cfg.get("betas"),
                         seeds=seeds)
-    _check_activation(cfg["base"], plans)
+    _check_reads(cfg["base"], plans)
     parallelism = args.parallel if args.parallel is not None else cfg.get("parallelism", 1)
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -242,7 +247,7 @@ def cmd_suite(args) -> int:
 def cmd_export(args) -> int:
     cfg = _load_json(args.config)
     plan = build_plan(cfg, args.seed)
-    _check_activation(cfg, [plan])
+    _check_reads(cfg, [plan])
     if args.what in ("attention", "both") and plan.method not in BRIDGE_NET_METHODS:
         raise ConfigError("attention export needs a ptupcdr-family method")
     cold = run_cold(plan, pretrained=_load_pretrained(cfg, plan))

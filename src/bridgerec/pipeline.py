@@ -34,8 +34,13 @@ from .nn import ACTIVATIONS, RowGrad, fit, softmax
 logger = logging.getLogger(__name__)
 
 LR_GRID = (0.001, 0.005, 0.01, 0.02, 0.1)
-METHODS = ("tgt", "cmf", "emcdr", "ptupcdr", "ptupcdr_mapping_ablation")
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
+# the method-dependent plan fields each method reads; cmf trains its own mf model
+METHOD_FIELDS = {"tgt": frozenset({"base_model"}), "cmf": frozenset(),
+                 "emcdr": frozenset({"base_model", "bridge"}),
+                 **dict.fromkeys(BRIDGE_NET_METHODS,
+                                 frozenset({"base_model", "bridge", "max_seq_len", "activation"}))}
+METHODS = tuple(METHOD_FIELDS)
 BRIDGE_FAMILIES = ("shared_linear", "per_user_linear")
 
 SUITE_COLUMNS = ("task", "beta", "method", "stage", "seed",
@@ -153,10 +158,11 @@ class ExperimentPlan:
                         "set allow_off_grid_lr=True to override")
 
     @property
-    def builds_net(self) -> bool:
-        """Whether ``activation`` reaches a net: bridge nets, or two_tower towers (not in cmf)."""
-        return (self.method in BRIDGE_NET_METHODS
-                or (self.base_model == "two_tower" and self.method != "cmf"))
+    def reads(self) -> frozenset:
+        """Its method's ``METHOD_FIELDS``, and ``activation`` for a two_tower base model."""
+        fields = METHOD_FIELDS[self.method]
+        two_tower = "base_model" in fields and self.base_model == "two_tower"
+        return fields | {"activation"} if two_tower else fields
 
 
 def _stage_seeds(seed: int) -> dict[str, int]:
@@ -354,19 +360,64 @@ def _pretrained(shared: dict, side: str, data: DomainDataset, plan: ExperimentPl
     return shared[f"{side}_model"]
 
 
+def _transfer(plan: ExperimentPlan, shared: dict, seeds: dict, traces: dict, counters: dict):
+    """The plan's transfer method: (scoring table, ``ColdRun.init``, artifacts). cmf trains
+    one mf model on both domains; tgt scores with the target model alone; emcdr learns one
+    bridge for all users; the ptupcdr family generates each user's bridge from their
+    source history. ``METHOD_FIELDS`` names the plan fields each method reads."""
+    src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
+    if plan.method == "cmf":
+        cmf, traces["cmf"] = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
+        return cmf.tgt_items, cmf.users[[cmf.user_map.index(u) for u in split.test_users]], {}
+    tgt_model = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"], traces)
+    scoring = item_scoring_vectors(tgt_model)
+    if plan.method == "tgt":
+        # one tower pass per user: a batched pass rounds two_tower outputs differently
+        return scoring, np.array([user_representation(tgt_model, tgt.users.index(u))
+                                  for u in split.test_users]), {"tgt_model": tgt_model}
+    src_model = _pretrained(shared, "src", src, plan, seeds["src"], traces)
+    ctx = build_context(src_model, tgt_model, build_sequences(src))
+    artifacts = {"tgt_model": tgt_model, "src_model": src_model, "ctx": ctx}
+    train_src = np.array([src.users.index(u) for u in split.train_overlap_users], dtype=np.int64)
+    train_tgt = np.array([tgt.users.index(u) for u in split.train_overlap_users], dtype=np.int64)
+    test_src = [src.users.index(u) for u in split.test_users]
+    if plan.method == "emcdr":
+        W, traces["bridge"] = train_common_bridge(ctx.user_reprs[train_src],
+                                                  ctx.tgt_user_reprs[train_tgt],
+                                                  plan.bridge, seed=seeds["bridge"])
+        # stacked matrix-vector products: row i is exactly W @ s_i
+        return (scoring, (W @ ctx.user_reprs[test_src, :, None])[..., 0],
+                {**artifacts, "common_bridge": W})
+    rng = np.random.default_rng(seeds["nets"])
+    enc = CharacteristicEncoder(plan.k, max_seq_len=plan.max_seq_len,
+                                activation=plan.activation, rng=rng)
+    meta = MetaNetwork(plan.k, activation=plan.activation, rng=rng)
+    if plan.method == "ptupcdr":
+        # target rows of the train overlap users, grouped in split order
+        # and kept in file order within a user; other users sort last
+        position = np.full(tgt.n_users, len(train_tgt))
+        position[train_tgt] = np.arange(len(train_tgt))
+        pos = position[tgt_train.user_idx]
+        rows = np.argsort(pos, kind="stable")
+        rows = rows[pos[rows] < len(train_tgt)]
+        record = traces["bridge"] = train_meta(
+            enc, meta, ctx, train_src[pos[rows]], tgt_train.item_idx[rows],
+            tgt_train.rating[rows], plan.bridge, seed=seeds["bridge"])
+        counters["skipped_meta_samples"] = record.skipped * len(record.losses)
+    else:  # ptupcdr_mapping_ablation
+        traces["bridge"] = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
+                                              plan.bridge, seed=seeds["bridge"])
+    return (scoring, transform_users(enc, meta, ctx, test_src),
+            {**artifacts, "enc": enc, "meta": meta})
+
+
 def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
-    """Pre-train, run the plan's transfer method, and evaluate on cold sets.
+    """Load and split the data, run ``_transfer``, and score each test user's cold set.
 
-    Each test user's initial target representation (random for tgt, shared
-    for cmf, bridged otherwise) is scored against every rating in their cold
-    set; predictions are clipped to [RATING_MIN, RATING_MAX].
-
-    ``pretrained`` holds what plans that differ only in ``method`` share: the
-    domains and split ("src", "tgt", "split", "tgt_train"), "tgt_model" and
-    "src_model" (with their TrainRecords "tgt_trace" and "src_trace", which a
-    loaded checkpoint lacks). The dict ``load_checkpoints`` returns holds the
-    domains and models but no split. run_cold reuses what the dict holds and
-    adds what it builds; it never modifies an entry.
+    ``pretrained`` holds what plans that differ only in ``method`` share: "src", "tgt",
+    "split", "tgt_train", "src_model" and "tgt_model", and the models' TrainRecords
+    "src_trace" and "tgt_trace" (``load_checkpoints`` gives no split and no records).
+    run_cold reuses what the dict holds and adds what it builds; it modifies no entry.
     """
     seeds = _stage_seeds(plan.seed)
     shared = {} if pretrained is None else pretrained
@@ -381,64 +432,9 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
         shared.update(split=split, tgt_train=filter_to_indices(tgt, split.target_train_indices))
     split, tgt_train = shared["split"], shared["tgt_train"]
 
-    artifacts: dict = {}
     traces: dict = {}
     counters = {"unseen_item_predictions": 0, "skipped_meta_samples": 0}
-
-    if plan.method == "cmf":
-        cmf, traces["cmf"] = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
-        scoring = cmf.tgt_items
-        init = cmf.users[[cmf.user_map.index(u) for u in split.test_users]]
-    else:
-        tgt_model = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"], traces)
-        artifacts["tgt_model"] = tgt_model
-        scoring = item_scoring_vectors(tgt_model)
-
-        if plan.method == "tgt":
-            # one tower pass per user: a batched pass rounds two_tower outputs differently
-            init = np.array([user_representation(tgt_model, tgt.users.index(u))
-                             for u in split.test_users])
-        else:
-            src_model = _pretrained(shared, "src", src, plan, seeds["src"], traces)
-            artifacts["src_model"] = src_model
-            ctx = build_context(src_model, tgt_model, build_sequences(src))
-            artifacts["ctx"] = ctx
-            train_src = np.array([src.users.index(u) for u in split.train_overlap_users],
-                                 dtype=np.int64)
-            train_tgt = np.array([tgt.users.index(u) for u in split.train_overlap_users],
-                                 dtype=np.int64)
-            test_src = [src.users.index(u) for u in split.test_users]
-
-            if plan.method == "emcdr":
-                W, traces["bridge"] = train_common_bridge(ctx.user_reprs[train_src],
-                                                          ctx.tgt_user_reprs[train_tgt],
-                                                          plan.bridge, seed=seeds["bridge"])
-                artifacts["common_bridge"] = W
-                # stacked matrix-vector products: row i is exactly W @ s_i
-                init = (W @ ctx.user_reprs[test_src, :, None])[..., 0]
-            else:
-                rng = np.random.default_rng(seeds["nets"])
-                enc = CharacteristicEncoder(plan.k, max_seq_len=plan.max_seq_len,
-                                            activation=plan.activation, rng=rng)
-                meta = MetaNetwork(plan.k, activation=plan.activation, rng=rng)
-                if plan.method == "ptupcdr":
-                    # target rows of the train overlap users, grouped in split order
-                    # and kept in file order within a user; other users sort last
-                    position = np.full(tgt.n_users, len(train_tgt))
-                    position[train_tgt] = np.arange(len(train_tgt))
-                    pos = position[tgt_train.user_idx]
-                    rows = np.argsort(pos, kind="stable")
-                    rows = rows[pos[rows] < len(train_tgt)]
-                    record = traces["bridge"] = train_meta(
-                        enc, meta, ctx, train_src[pos[rows]], tgt_train.item_idx[rows],
-                        tgt_train.rating[rows], plan.bridge, seed=seeds["bridge"])
-                    counters["skipped_meta_samples"] = record.skipped * len(record.losses)
-                else:  # ptupcdr_mapping_ablation
-                    traces["bridge"] = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
-                                                          plan.bridge, seed=seeds["bridge"])
-                artifacts["enc"] = enc
-                artifacts["meta"] = meta
-                init = transform_users(enc, meta, ctx, test_src)
+    scoring, init, artifacts = _transfer(plan, shared, seeds, traces, counters)
 
     cold_rows = [split.cold[u] for u in split.test_users]
     trained_items = np.unique(tgt_train.item_idx)
@@ -750,9 +746,12 @@ def write_suite_json(rows, path) -> None:
 
 
 def sweep_plans(base: ExperimentPlan, methods=None, betas=None, seeds=None):
-    """Cross product of method/beta/seed variations of a base plan; None keeps the base's."""
+    """Cross product of method/beta/seed variations of a base plan; None keeps the base's,
+    and a list that repeats a value is an error (the plans would run twice)."""
     for name, values in (("methods", methods), ("betas", betas), ("seeds", seeds)):
         if values is not None and len(values) == 0:
             raise ValueError(f"{name} must be None or a non-empty list")
+        if values is not None and len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value, got {values}")
     return [replace(base, method=m, beta=b, seed=s) for m in methods or [base.method]
             for b in betas or [base.beta] for s in seeds or [base.seed]]

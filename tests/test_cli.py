@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,11 +25,12 @@ SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
               "k_true": 4, "ratings_per_user": 12}
 
 
-def _run_config(tmp_path, **overrides):
+def _run_config(tmp_path, without=(), **overrides):
     cfg = {"task": SMOKE_TASK, "method": "ptupcdr", "k": 4, "beta": 0.2, "seed": 3,
            "pretrain": {"lr": 0.01, "epochs": 30},
            "bridge": {"lr": 0.01, "epochs": 20},
            "finetune": {"lr": 0.01, "epochs": 30}}
+    cfg = {key: value for key, value in cfg.items() if key not in without}
     cfg.update(overrides)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -130,7 +132,7 @@ def test_run_synthetic_smoke_completes_quickly(tmp_path, capsys):
 
 
 def test_run_is_idempotent(tmp_path):
-    cfg = _run_config(tmp_path, method="tgt",
+    cfg = _run_config(tmp_path, method="tgt", without=("bridge",),
                       pretrain={"lr": 0.01, "epochs": 10},
                       finetune={"lr": 0.01, "epochs": 10})
     blobs = []
@@ -154,7 +156,7 @@ def test_run_target_only_method_on_files(tmp_path, pair_csvs):
 
 
 def test_run_seed_override_changes_results(tmp_path):
-    cfg = _run_config(tmp_path, method="tgt", out_dir=str(tmp_path / "a"))
+    cfg = _run_config(tmp_path, method="tgt", without=("bridge",), out_dir=str(tmp_path / "a"))
     assert main(["run", str(cfg)]) == 0
     assert main(["run", str(cfg), "--seed", "99", "--out-dir", str(tmp_path / "b")]) == 0
     a = json.loads((tmp_path / "a" / "report.json").read_text())
@@ -178,6 +180,16 @@ def test_run_meta_only_requires_checkpoints(tmp_path, capsys):
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "src_model" in err and "nowhere" in err
+
+
+@pytest.mark.parametrize("method", ["tgt", "cmf"])
+def test_meta_only_needs_a_method_with_a_bridge_stage(tmp_path, capsys, monkeypatch, method):
+    _no_training(monkeypatch)
+    cfg = _run_config(tmp_path, method=method, without=("bridge",), stage="meta_only",
+                      checkpoint_dir=str(tmp_path / "nowhere"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"stage 'meta_only' does not apply to method {method!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_meta_only_from_saved_checkpoints(tmp_path):
@@ -444,7 +456,7 @@ def test_export_attention_and_embeddings(tmp_path):
 
 
 def test_export_attention_needs_bridge_method(tmp_path, capsys):
-    cfg = _run_config(tmp_path, method="tgt")
+    cfg = _run_config(tmp_path, method="tgt", without=("bridge",))
     rc = main(["export", str(cfg), "--what", "attention",
                "--out-dir", str(tmp_path / "e")])
     assert rc == 1
@@ -520,24 +532,41 @@ def _no_training(monkeypatch):
         monkeypatch.setattr(name, ran)
 
 
-# plans whose nets the plan-level activation reaches: the ptupcdr family's bridge
-# nets, and the towers of a two_tower base model unless cmf replaces the base model
-NET_PLANS = ({(m, b) for m in ("ptupcdr", "ptupcdr_mapping_ablation") for b in BASE_MODELS}
-             | {("tgt", "two_tower"), ("emcdr", "two_tower")})
+# the method-dependent keys each method reads: cmf trains an mf model of its own, and a
+# method that reads base_model also reads activation (its towers) when it is two_tower
+READS = {"tgt": {"base_model"}, "cmf": set(), "emcdr": {"base_model", "bridge"},
+         **dict.fromkeys(("ptupcdr", "ptupcdr_mapping_ablation"),
+                         {"base_model", "bridge", "max_seq_len", "activation"})}
+# a value other than the default for each of those keys but base_model
+KEY_VALUES = {"activation": "tanh", "bridge": {"lr": 0.01, "epochs": 2}, "max_seq_len": 5}
+
+
+def _plan_reads(method, base_model):
+    two_tower = "base_model" in READS[method] and base_model == "two_tower"
+    return READS[method] | ({"activation"} if two_tower else set())
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("base_model", BASE_MODELS)
 def test_run_accepts_activation_exactly_when_the_plan_builds_a_net(
         tmp_path, capsys, monkeypatch, method, base_model):
+    """Every method-dependent key, activation among them: run and export take it exactly
+    when the plan reads it, and otherwise exit 1 before any output."""
     _no_training(monkeypatch)
-    cfg = _run_config(tmp_path, method=method, base_model=base_model, activation="tanh")
-    if (method, base_model) in NET_PLANS:
-        with pytest.raises(PlanRan):
-            main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
-    else:
-        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-        assert "activation has no effect" in capsys.readouterr().err
+    for key in ("base_model", *KEY_VALUES):
+        keys = {key: KEY_VALUES[key]} if key in KEY_VALUES else {}
+        if key == "base_model" or "base_model" in READS[method]:
+            keys["base_model"] = base_model
+        cfg = _run_config(tmp_path, method=method, without=("bridge",), **keys)
+        for command in (["run"], ["export", "--what", "embeddings"]):
+            out = tmp_path / f"{command[0]}-{key}"
+            if key in _plan_reads(method, base_model):
+                with pytest.raises(PlanRan):
+                    main([*command, str(cfg), "--out-dir", str(out)])
+            else:
+                assert main([*command, str(cfg), "--out-dir", str(out)]) == 1
+                assert capsys.readouterr().err.startswith(f"error: {key} has no effect: ")
+                assert not out.exists()
 
 
 @pytest.mark.parametrize("method, base_model, checkpoints", [
@@ -564,11 +593,12 @@ def test_stage_activation_names_the_plan_key(tmp_path, capsys, stage):
     assert not (tmp_path / "out").exists()
 
 
-def _suite_config(tmp_path, methods, suite_keys=None, **base):
+def _suite_config(tmp_path, methods, suite_keys=None, without=(), **base):
+    stages = {"pretrain": {"lr": 0.01, "epochs": 3},
+              "bridge": {"lr": 0.01, "epochs": 3},
+              "finetune": {"lr": 0.01, "epochs": 3}}
     suite = {"base": {"task": SMOKE_TASK, "method": "tgt", "k": 4, "beta": 0.2, **base,
-                      "pretrain": {"lr": 0.01, "epochs": 3},
-                      "bridge": {"lr": 0.01, "epochs": 3},
-                      "finetune": {"lr": 0.01, "epochs": 3}},
+                      **{key: value for key, value in stages.items() if key not in without}},
              "methods": methods, **(suite_keys or {})}
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
@@ -576,17 +606,35 @@ def _suite_config(tmp_path, methods, suite_keys=None, **base):
 
 
 def test_suite_activation_needs_one_plan_with_a_net(tmp_path, capsys, monkeypatch):
+    """A suite base may hold a method-dependent key, activation among them, exactly when
+    one plan of the sweep reads it."""
     out = tmp_path / "out"
     cfg = _suite_config(tmp_path, ["tgt", "ptupcdr"], activation="tanh")
     assert main(["suite", str(cfg), "--out-dir", str(out)]) == 0
     assert [r["stage"] for r in json.loads((out / "suite.json").read_text())] == \
         ["cold", "warm"] * 2
+    capsys.readouterr()
 
-    _no_training(monkeypatch)
-    cfg = _suite_config(tmp_path, ["tgt", "emcdr"], activation="tanh")
-    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "rejected")]) == 1
-    assert "activation has no effect" in capsys.readouterr().err
-    assert not (tmp_path / "rejected").exists()
+    def ran(*args, **kwargs):
+        raise PlanRan
+
+    monkeypatch.setattr("bridgerec.cli.run_suite", ran)
+    for key in ("base_model", *KEY_VALUES):
+        keys = {key: KEY_VALUES.get(key, "gmf")}
+        readers = [m for m in METHODS if key in READS[m]]
+        others = [m for m in METHODS if key not in READS[m]]
+        cfg = _suite_config(tmp_path, [*others, readers[0]], without=("bridge",), **keys)
+        with pytest.raises(PlanRan):
+            main(["suite", str(cfg), "--out-dir", str(tmp_path / f"{key}-accepted")])
+        cfg = _suite_config(tmp_path, others, without=("bridge",), **keys)
+        assert main(["suite", str(cfg), "--out-dir", str(tmp_path / f"{key}-rejected")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} has no effect: ")
+        assert not (tmp_path / f"{key}-rejected").exists()
+    # a two_tower base model's towers read activation in every method that reads base_model
+    cfg = _suite_config(tmp_path, ["tgt"], without=("bridge",), base_model="two_tower",
+                        activation="tanh")
+    with pytest.raises(PlanRan):
+        main(["suite", str(cfg), "--out-dir", str(tmp_path / "two_tower")])
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -755,6 +803,17 @@ def test_blocks_that_are_not_objects_name_their_key(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+def test_readme_lists_the_keys_each_method_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| method | keys it reads |\n|---|---|\n")[1].split("\n\n")[0]
+    table = {}
+    for row in rows.splitlines():
+        method, keys = row.strip("|").split("|")
+        table[method.strip().strip("`")] = set(re.findall(r"`(\w+)`", keys))
+    assert list(table) == list(METHODS)
+    assert table == pipeline.METHOD_FIELDS
+
+
 def _left_at_default(obj, where="plan"):
     """Paths of the fields of a dataclass, and of the dataclasses it holds, that equal
     their default."""
@@ -846,6 +905,23 @@ def test_an_empty_sweep_list_is_rejected(tmp_path, capsys, monkeypatch, key):
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: []}))
     assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be None or a non-empty list")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, values", [("methods", ["tgt", "emcdr", "tgt"]),
+                                         ("betas", [0.2, 0.2]), ("seeds", [1, 1])])
+def test_a_sweep_list_that_repeats_a_value_is_rejected(tmp_path, capsys, monkeypatch, key,
+                                                       values):
+    # each copy would run the same plan again, and its mean row would average the copies
+    base = build_plan(json.loads(_run_config(tmp_path).read_text()))
+    message = f"{key} must not repeat a value, got {values}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_plans(base, **{key: values})
+    _no_training(monkeypatch)
+    cfg = _suite_config(tmp_path, ["tgt", "emcdr"])
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: values}))
+    assert main(["suite", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -319,6 +319,33 @@ def test_cold_init_row_i_belongs_to_test_user_i(method):
         np.testing.assert_allclose(cold.init[i], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("base_model", ["mf", "two_tower"])
+def test_a_plan_moves_its_results_exactly_through_the_fields_it_reads(method, base_model):
+    """A method-dependent field the plan does not read (``METHOD_FIELDS``, plus activation
+    for two_tower towers) leaves the cold init, the scoring table and both reports
+    bit-identical; a field it reads moves them."""
+    # 8 source ratings a user: every history is longer than the max_seq_len of 3 below
+    plan = replace(_fast_plan(method), base_model=base_model,
+                   pretrain=TrainConfig(lr=0.01, epochs=3), bridge=TrainConfig(lr=0.01, epochs=3),
+                   finetune=TrainConfig(lr=0.01, epochs=3))
+
+    def outcome(plan):
+        cold = run_cold(plan)
+        reports = (cold.report, run_warm(plan, cold))
+        return cold.init, cold.scoring, [(r.mae, r.rmse, r.n_eval, r.counters) for r in reports]
+
+    def same(a, b):
+        return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+    base = outcome(plan)
+    changes = {"base_model": "gmf", "bridge": TrainConfig(lr=0.02, epochs=3), "max_seq_len": 3,
+               "activation": "tanh"}
+    for field, value in changes.items():
+        assert same(outcome(replace(plan, **{field: value})), base) == (field not in plan.reads), \
+            field
+
+
 def test_warm_improves_over_cold_with_consistent_preferences():
     spec = SyntheticSpec(**SMALL, noise_sd=0.0, bridge_family="per_user_linear")
     for method in ("tgt", "ptupcdr"):

@@ -6,7 +6,10 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``bridgerec`` package
 (a checkout's ``src/``). Each tree runs the same fixed matrix of seeded
 configs through ``python -m bridgerec.cli run`` (with ``save_checkpoints``)
 and then ``export``, with BLAS pinned to one thread, writing into
-OUT_DIR/parent/<config> and OUT_DIR/change/<config>. The cmf-small_batch
+OUT_DIR/parent/<config> and OUT_DIR/change/<config>. A config holds only the
+method-dependent keys its method reads, which is all ``bridgerec`` accepts: the
+emcdr and ptupcdr-family configs and the suite base get the ``bridge`` block,
+and cmf-mf sets no ``base_model``. The cmf-small_batch
 config trains on batches of 16 and 8, so most table rows go untouched on each
 step and both Adam stages run past step 356, where the first bias correction
 rounds to exactly 1.0. ``Adam`` densifies a row gradient with at least a
@@ -57,9 +60,10 @@ TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200, "n_overlap"
         "n_items_src": 80, "n_items_tgt": 80, "k_true": 4, "ratings_per_user": 12}
 BASE = {"task": TASK, "k": 4, "beta": 0.2, "seed": 3, "save_checkpoints": True,
         "pretrain": {"lr": 0.01, "epochs": 20},
-        "bridge": {"lr": 0.01, "epochs": 10},
         "finetune": {"lr": 0.01, "epochs": 20}}
+BRIDGE = {"lr": 0.01, "epochs": 10}
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
+BRIDGE_METHODS = ("emcdr", *BRIDGE_NET_METHODS)  # the methods that read a bridge block
 META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf", "ptupcdr-files-csv")
 
 
@@ -97,8 +101,9 @@ def write_logs(log_dir: Path, n_users: int = 150, reject_every: int = 0) -> None
 
 def matrix(log_dir: Path) -> dict[str, dict]:
     configs = {}
-    for method in ("tgt", "cmf", "emcdr", *BRIDGE_NET_METHODS):
+    for method in ("tgt", "emcdr", *BRIDGE_NET_METHODS):
         configs[f"{method}-mf"] = {"method": method, "base_model": "mf"}
+    configs["cmf-mf"] = {"method": "cmf"}  # cmf reads no base_model; the name pairs its files
     for method in ("tgt", "emcdr", "ptupcdr"):
         for base_model in ("gmf", "two_tower"):
             configs[f"{method}-{base_model}"] = {"method": method, "base_model": base_model}
@@ -116,7 +121,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
         task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
                 "tgt_path": str(log_dir / tgt_log)}
         configs[f"{method}-files-{tgt_log.split('.')[1]}"] = {"method": method, "task": task}
-    configs = {name: {**BASE, **overrides} for name, overrides in configs.items()}
+    configs = {name: {**BASE, **({"bridge": BRIDGE} if overrides["method"] in BRIDGE_METHODS
+                                 else {}), **overrides}
+               for name, overrides in configs.items()}
     for name in META_ONLY:  # after their source run, so its checkpoints exist
         configs[f"{name}-meta_only"] = {**configs[name], "stage": "meta_only",
                                         "checkpoint_dir": f"{name}/checkpoints"}
@@ -127,7 +134,7 @@ def suite_config(log_dir: Path) -> dict:
     base = {k: v for k, v in BASE.items() if k != "save_checkpoints"}
     task = {"kind": "amazon", "src_path": str(log_dir / "books.csv"),
             "tgt_path": str(log_dir / "movies.jsonl")}
-    return {"base": {**base, "task": task, "method": "tgt"},
+    return {"base": {**base, "task": task, "method": "tgt", "bridge": BRIDGE},
             "methods": ["tgt", "cmf", "emcdr", "ptupcdr"], "betas": [0.2, 0.4], "seeds": [3, 4]}
 
 
