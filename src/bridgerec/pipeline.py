@@ -20,16 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .bridge import (CharacteristicEncoder, MetaNetwork, attention_table, build_context,
-                     save_bridge_nets, train_common_bridge, train_meta, train_meta_mapping,
-                     transform_users)
+from .bridge import (BLOCK_USERS, CharacteristicEncoder, MetaNetwork, attention_table,
+                     build_context, save_bridge_nets, train_common_bridge, train_meta,
+                     train_meta_mapping, transform_users)
 from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
                    build_sequences, dataset_from_codes, filter_to_indices, load_dataset,
                    load_domain, log_source, make_split, save_dataset, write_csv)
 from .models import HEADS as BASE_MODELS
 from .models import (TrainConfig, check_int, cmf_train, dot_mse, item_scoring_vectors,
                      load_model, pretrain, save_model, user_representation)
-from .nn import ACTIVATIONS, RowGrad, fit, softmax
+from .nn import ACTIVATIONS, RowGrad, fit
 
 logger = logging.getLogger(__name__)
 
@@ -186,10 +186,65 @@ class PlantedTruth:
     shared_bridge: np.ndarray | None = None
 
 
-def _pick_items(rng, factors, user_vec, count, sharpness):
-    scores = factors @ user_vec
-    p = softmax(sharpness * scores)
-    return rng.choice(len(factors), size=count, replace=False, p=p)
+def _draw_without_replacement(rng, p, count) -> list[int]:
+    """``rng.choice(len(p), count, replace=False, p=p).tolist()``, from the same random numbers.
+
+    numpy's weighted draw round for round: each round draws one uniform per item still
+    missing, inverts the cdf of ``p`` with the found items zeroed, and keeps the first
+    occurrence of each new item. ``choice``'s copy and checks of ``p`` are skipped, so ``p``
+    must be non-negative and sum to 1, and the found items are zeroed in it in place.
+    """
+    if np.count_nonzero(p > 0) < count:
+        raise ValueError(f"p has fewer than {count} non-zero entries")
+    found = {}
+    while len(found) < count:
+        x = rng.random(count - len(found))
+        if found:
+            p[list(found)] = 0.0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found |= dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return list(found)
+
+
+def _draw_ratings(rng, spec, ids, vecs, factors):
+    """Each user's rated items, drawn with probability softmax(selection_sharpness * score)
+    and without replacement, and their noisy ratings clipped to [0, 5].
+
+    ``ids`` and the rows of ``vecs`` are the users and their factors. The arithmetic runs
+    on blocks of ``BLOCK_USERS`` users in one reused buffer, while the random draws stay per
+    user in order: a user's items, then their noise. Returns ``(chosen, rating)``, each
+    with one row per user.
+    """
+    per, n = spec.ratings_per_user, len(ids)
+    chosen = np.empty((n, per), dtype=np.int64)
+    rating = np.empty((n, per))
+    noise = np.zeros((n, per))
+    buf = np.empty((min(n, BLOCK_USERS), len(factors)))
+    for lo in range(0, n, BLOCK_USERS):
+        hi = min(lo + BLOCK_USERS, n)
+        p = buf[:hi - lo]
+        for vec, row in zip(vecs[lo:hi], p):
+            np.matmul(factors, vec, out=row)  # one gemv a user: a GEMM rounds differently
+        # an overflowing sharpness leaves NaN rows, which the draw rejects below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p *= spec.selection_sharpness
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+        for u, row in enumerate(p, lo):
+            try:
+                chosen[u] = _draw_without_replacement(rng, row, per)
+            except ValueError:
+                raise ValueError(
+                    f"selection_sharpness {spec.selection_sharpness} leaves user "
+                    f"{ids[u]} fewer than ratings_per_user={per} items to draw from"
+                ) from None
+            if spec.noise_sd > 0:
+                noise[u] = rng.normal(0.0, spec.noise_sd, per)
+        # a stacked product runs the same gemv per user as factors[chosen[u]] @ vecs[u]
+        rating[lo:hi] = (factors[chosen[lo:hi]] @ vecs[lo:hi, :, None])[..., 0]
+    return chosen, np.clip(rating + noise, 0.0, 5.0)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
@@ -198,9 +253,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
     User and item factors are non-negative with scale chosen so every exact
     rating lies in [0, 5]. Users and items belong to preference archetypes;
     each user rates items drawn with probability increasing in the planted
-    score, so a user's history is informative about their archetype. Overlap
-    users' target factors are ``B_u @ src_factor`` with B either one shared
-    matrix or a per-archetype diagonal. Returns (src, tgt, PlantedTruth).
+    score, so a user's history is informative about their archetype. The items
+    are drawn with numpy's weighted-without-replacement algorithm, implemented
+    here (``_draw_without_replacement``) so that users are scored in blocks
+    while the random draws stay per user; a world is byte-identical to one
+    drawn with ``Generator.choice``. Overlap users' target factors are
+    ``B_u @ src_factor`` with B either one shared matrix or a per-archetype
+    diagonal. Returns (src, tgt, PlantedTruth).
     """
     rng = np.random.default_rng(seed)
     k = spec.k_true
@@ -210,8 +269,20 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
     centers = rng.dirichlet(np.full(k, 0.4), size=spec.n_clusters)
     centers /= centers.max(axis=1, keepdims=True)
 
-    def draw_factor(cluster):
-        return scale * (0.8 * centers[cluster] + 0.2 * rng.uniform(0.0, 1.0, k))
+    def factors(clusters, jitter):
+        return scale * (0.8 * centers[clusters] + 0.2 * jitter)
+
+    def draw_users(count):
+        """The archetypes and factors of ``count`` users, each drawing its archetype first."""
+        clusters, jitter = np.empty(count, dtype=np.int64), np.empty((count, k))
+        for i in range(count):
+            clusters[i] = rng.integers(spec.n_clusters)
+            jitter[i] = rng.uniform(0.0, 1.0, k)
+        return clusters, factors(clusters, jitter)
+
+    def draw_items(count):
+        clusters = rng.integers(spec.n_clusters, size=count)
+        return factors(clusters, np.array([rng.uniform(0.0, 1.0, k) for _ in clusters]))
 
     if spec.bridge_family == "shared_linear":
         if spec.identity_bridge:
@@ -225,49 +296,38 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
         shared = None
         diags = rng.uniform(0.3, 1.0, (spec.n_clusters, k))
 
-    src_users, tgt_users = {}, {}  # ext id -> factor, per domain
-    overlap_ids = []
-    for i in range(spec.n_overlap):
-        c = int(rng.integers(spec.n_clusters))
-        ext = f"ou{i:05d}"
-        u = src_users[ext] = draw_factor(c)
-        tgt_users[ext] = shared @ u if spec.bridge_family == "shared_linear" else diags[c] * u
-        overlap_ids.append(ext)
-    for members, count, prefix in ((src_users, spec.n_users_src, "su"),
-                                   (tgt_users, spec.n_users_tgt, "tu")):
-        for i in range(count - spec.n_overlap):
-            members[f"{prefix}{i:05d}"] = draw_factor(int(rng.integers(spec.n_clusters)))
+    clusters, overlap = draw_users(spec.n_overlap)
+    if shared is None:
+        tgt_overlap = diags[clusters] * overlap
+    else:  # each row of shared has one non-zero entry, so every summation order is exact
+        tgt_overlap = overlap @ shared.T
+    overlap_ids = [f"ou{i:05d}" for i in range(spec.n_overlap)]
+    n_src, n_tgt = spec.n_users_src - spec.n_overlap, spec.n_users_tgt - spec.n_overlap
+    src_ids = overlap_ids + [f"su{i:05d}" for i in range(n_src)]
+    src_users = np.concatenate([overlap, draw_users(n_src)[1]])
+    tgt_ids = overlap_ids + [f"tu{i:05d}" for i in range(n_tgt)]
+    tgt_users = np.concatenate([tgt_overlap, draw_users(n_tgt)[1]])
+    src_items, tgt_items = draw_items(spec.n_items_src), draw_items(spec.n_items_tgt)
 
-    src_items, tgt_items = (np.stack([draw_factor(int(c))
-                                      for c in rng.integers(spec.n_clusters, size=count)])
-                            for count in (spec.n_items_src, spec.n_items_tgt))
-
-    def domain_dataset(prefix, members, factors):
-        """The domain's dataset, and its user and item factors in dataset index order."""
+    def domain_dataset(prefix, ids, users, factors):
+        """The domain's dataset, and its item factors in dataset index order."""
         per = spec.ratings_per_user
-        chosen = np.empty((len(members), per), dtype=np.int64)
-        rating = np.empty((len(members), per))
-        for row, vec in enumerate(members.values()):
-            chosen[row] = _pick_items(rng, factors, vec, per, spec.selection_sharpness)
-            r = factors[chosen[row]] @ vec
-            if spec.noise_sd > 0:
-                r = r + rng.normal(0.0, spec.noise_sd, per)
-            rating[row] = np.clip(r, 0.0, 5.0)
+        chosen, rating = _draw_ratings(rng, spec, ids, users, factors)
         # each rated item is named once; codes follow first-seen order, as in a log
         rated, first = np.unique(chosen, return_index=True)
         rated = rated[np.argsort(first)]
         code = np.empty(len(factors), dtype=np.int64)
         code[rated] = np.arange(len(rated))
-        user_ids = {ext: u for u, ext in enumerate(members)}
+        user_ids = {ext: u for u, ext in enumerate(ids)}
         item_ids = {f"{prefix}{j:05d}": c for c, j in enumerate(rated.tolist())}
-        ds = dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(members)), per),
+        ds = dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(ids)), per),
                                 code[chosen].ravel(), rating.ravel(),
-                                np.tile(np.arange(per), len(members)))
-        return ds, np.stack(list(members.values())), factors[rated]
+                                np.tile(np.arange(per), len(ids)))
+        return ds, factors[rated]
 
-    src, src_user_factors, src_item_factors = domain_dataset("si", src_users, src_items)
-    tgt, tgt_user_factors, tgt_item_factors = domain_dataset("ti", tgt_users, tgt_items)
-    truth = PlantedTruth(src_user_factors, tgt_user_factors, src_item_factors, tgt_item_factors,
+    src, src_item_factors = domain_dataset("si", src_ids, src_users, src_items)
+    tgt, tgt_item_factors = domain_dataset("ti", tgt_ids, tgt_users, tgt_items)
+    truth = PlantedTruth(src_users, tgt_users, src_item_factors, tgt_item_factors,
                          overlap_ids, shared)
     return src, tgt, truth
 

@@ -1,7 +1,8 @@
 """Per-user reference functions the tests check the library against.
 
-The library generates, applies and scores bridges for many users at once
-(``bridge.transform_users``, ``models.predict_batch``). These one-user
+The library generates, applies and scores bridges, and draws synthetic
+worlds, for many users at once (``bridge.transform_users``,
+``models.predict_batch``, ``pipeline.generate_synthetic``). These one-user
 functions state the same operations in their plainest form. The first two
 pool a single sequence through the library's own attention kernel,
 ``bridge._attention``, so tests that call them still exercise it.
@@ -12,7 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from bridgerec.bridge import CharacteristicEncoder, MetaNetwork, _attention
+from bridgerec.data import dataset_from_codes
 from bridgerec.models import DomainModel, predict_batch
+from bridgerec.nn import softmax
+from bridgerec.pipeline import PlantedTruth
 
 
 def attention_scores(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
@@ -56,3 +60,74 @@ def score(model: DomainModel, user: int, item: int) -> float:
         raise IndexError(f"user {user} or item {item} out of range "
                          f"({model.n_users} users, {model.n_items} items)")
     return float(predict_batch(model, np.asarray([user]), np.asarray([item]))[0])
+
+
+
+def generate_synthetic(spec, seed: int = 0):
+    """``pipeline.generate_synthetic`` one user at a time: each factor drawn and scaled
+    alone, and each user's items drawn through ``nn.softmax`` and ``rng.choice``."""
+    rng = np.random.default_rng(seed)
+    k = spec.k_true
+    scale = np.sqrt(5.0 / k) * 0.95
+    centers = rng.dirichlet(np.full(k, 0.4), size=spec.n_clusters)
+    centers /= centers.max(axis=1, keepdims=True)
+
+    def draw_factor(cluster):
+        return scale * (0.8 * centers[cluster] + 0.2 * rng.uniform(0.0, 1.0, k))
+
+    if spec.bridge_family == "shared_linear":
+        if spec.identity_bridge:
+            shared = np.eye(k)
+        else:
+            perm = rng.permutation(k)
+            shared = np.zeros((k, k))
+            shared[np.arange(k), perm] = rng.uniform(0.5, 1.0, k)
+        diags = None
+    else:
+        shared = None
+        diags = rng.uniform(0.3, 1.0, (spec.n_clusters, k))
+
+    src_users, tgt_users = {}, {}  # ext id -> factor, per domain
+    overlap_ids = []
+    for i in range(spec.n_overlap):
+        c = int(rng.integers(spec.n_clusters))
+        ext = f"ou{i:05d}"
+        u = src_users[ext] = draw_factor(c)
+        tgt_users[ext] = shared @ u if spec.bridge_family == "shared_linear" else diags[c] * u
+        overlap_ids.append(ext)
+    for members, count, prefix in ((src_users, spec.n_users_src, "su"),
+                                   (tgt_users, spec.n_users_tgt, "tu")):
+        for i in range(count - spec.n_overlap):
+            members[f"{prefix}{i:05d}"] = draw_factor(int(rng.integers(spec.n_clusters)))
+
+    src_items, tgt_items = (np.stack([draw_factor(int(c))
+                                      for c in rng.integers(spec.n_clusters, size=count)])
+                            for count in (spec.n_items_src, spec.n_items_tgt))
+
+    def domain_dataset(prefix, members, factors):
+        per = spec.ratings_per_user
+        chosen = np.empty((len(members), per), dtype=np.int64)
+        rating = np.empty((len(members), per))
+        for row, vec in enumerate(members.values()):
+            p = softmax(spec.selection_sharpness * (factors @ vec))
+            chosen[row] = rng.choice(len(factors), size=per, replace=False, p=p)
+            r = factors[chosen[row]] @ vec
+            if spec.noise_sd > 0:
+                r = r + rng.normal(0.0, spec.noise_sd, per)
+            rating[row] = np.clip(r, 0.0, 5.0)
+        rated, first = np.unique(chosen, return_index=True)
+        rated = rated[np.argsort(first)]
+        code = np.empty(len(factors), dtype=np.int64)
+        code[rated] = np.arange(len(rated))
+        user_ids = {ext: u for u, ext in enumerate(members)}
+        item_ids = {f"{prefix}{j:05d}": c for c, j in enumerate(rated.tolist())}
+        ds = dataset_from_codes(user_ids, item_ids, np.repeat(np.arange(len(members)), per),
+                                code[chosen].ravel(), rating.ravel(),
+                                np.tile(np.arange(per), len(members)))
+        return ds, np.stack(list(members.values())), factors[rated]
+
+    src, src_user_factors, src_item_factors = domain_dataset("si", src_users, src_items)
+    tgt, tgt_user_factors, tgt_item_factors = domain_dataset("ti", tgt_users, tgt_items)
+    truth = PlantedTruth(src_user_factors, tgt_user_factors, src_item_factors, tgt_item_factors,
+                         overlap_ids, shared)
+    return src, tgt, truth

@@ -948,6 +948,17 @@ def test_non_finite_float_values_are_rejected(tmp_path, capsys, monkeypatch, whe
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sharpness", [1e6, 1e308])
+def test_a_degenerate_selection_sharpness_is_one_error_naming_the_field(tmp_path, capsys,
+                                                                         sharpness):
+    # 1e6 leaves a user one item with non-zero probability; 1e308 overflows the scores
+    cfg = _run_config(tmp_path, task={**SMOKE_TASK, "selection_sharpness": sharpness})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: selection_sharpness {sharpness} leaves user ou00000 fewer than "
+        f"ratings_per_user={SMOKE_TASK['ratings_per_user']} items to draw from\n")
+
+
 @pytest.mark.parametrize("command", ["run", "suite"])
 def test_a_negative_n_overlap_is_rejected_before_any_output(tmp_path, capsys, monkeypatch,
                                                             command):

@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
+import dataclasses
 import math
 import multiprocessing
 import pickle
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +24,7 @@ from bridgerec.pipeline import (METHODS, AmazonTask, ExperimentPlan, SyntheticSp
                                 generate_synthetic, load_checkpoints, run_cold, run_suite,
                                 run_warm, save_checkpoints, sweep_plans, write_attention_csv,
                                 write_suite_csv, write_suite_json)
+import reference
 from conftest import traced_peak
 
 SMALL = dict(n_users_src=140, n_users_tgt=140, n_overlap=100,
@@ -181,6 +184,77 @@ def test_synthetic_rejects_infeasible_specs():
         for value in (float(getattr(SyntheticSpec(), name)), True):
             with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
                 generate_synthetic(SyntheticSpec(**{name: value}), seed=0)
+
+
+# the benchmark workloads' worlds (K = 10), and worlds that reach every branch of the draw
+REFERENCE_SPECS = {
+    "ptupcdr_bridge": SyntheticSpec(n_users_src=700, n_users_tgt=700, n_overlap=600,
+                                    n_items_src=300, n_items_tgt=300, k_true=10,
+                                    ratings_per_user=20, n_clusters=32),
+    "wide_suite": SyntheticSpec(n_users_src=1600, n_users_tgt=1600, n_overlap=1000,
+                                n_items_src=3400, n_items_tgt=3400, k_true=10,
+                                ratings_per_user=5, bridge_family="shared_linear",
+                                n_clusters=32),
+    "meta_only_export": SyntheticSpec(n_users_src=1200, n_users_tgt=1200, n_overlap=1000,
+                                      n_items_src=600, n_items_tgt=600, k_true=10,
+                                      ratings_per_user=40, n_clusters=32),
+    "defaults": SyntheticSpec(),
+    "noiseless": SyntheticSpec(noise_sd=0.0),
+    "uniform_selection": SyntheticSpec(selection_sharpness=0.0),
+    "shared_linear": SyntheticSpec(bridge_family="shared_linear"),
+    "identity_bridge": SyntheticSpec(bridge_family="shared_linear", identity_bridge=True),
+    # every item rated: most users need many rounds of the draw
+    "all_items": SyntheticSpec(**{**SMALL, "n_items_src": 15, "n_items_tgt": 15}),
+    "all_src_users_overlap": SyntheticSpec(**{**SMALL, "n_overlap": SMALL["n_users_src"]}),
+}
+
+
+def _fields(obj) -> list:
+    """Every field of a dataset or PlantedTruth; arrays as dtype, shape and bytes."""
+    out = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, IdMap):
+            value = list(value.forward.items())
+        out.append((f.name, value))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 23])
+@pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
+def test_synthetic_world_is_byte_identical_to_the_per_user_reference(spec, seed):
+    for got, want in zip(generate_synthetic(spec, seed), reference.generate_synthetic(spec, seed)):
+        assert _fields(got) == _fields(want)
+
+
+WEIGHT = st.one_of(st.just(0.0), st.just(1e-200), st.just(1e-12), st.just(1.0), st.just(2.5),
+                   st.floats(0.01, 10.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(WEIGHT, min_size=1, max_size=40).filter(any), st.integers(0, 2**32 - 1),
+       st.data())
+def test_draw_without_replacement_repeats_numpy_choice(weights, seed, data):
+    p = np.asarray(weights) / sum(weights)
+    nnz = np.count_nonzero(p)
+    count = data.draw(st.integers(1, nnz))
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pipeline._draw_without_replacement(rng_a, p.copy(), count)
+    assert got == rng_b.choice(len(p), count, replace=False, p=p).tolist()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    with pytest.raises(ValueError, match=f"fewer than {nnz + 1} non-zero entries"):
+        pipeline._draw_without_replacement(rng_a, p.copy(), nnz + 1)
+
+
+@pytest.mark.parametrize("sharpness", [1e6, 1e308])
+def test_a_degenerate_selection_sharpness_names_the_field_and_the_user(sharpness):
+    # 1e6 leaves one item with non-zero probability; 1e308 overflows, without a warning
+    message = (f"selection_sharpness {sharpness} leaves user ou00000 fewer than "
+               "ratings_per_user=20 items to draw from")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(SyntheticSpec(selection_sharpness=sharpness), seed=0)
 
 
 def test_zero_overlap_world_cannot_run():

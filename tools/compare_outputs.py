@@ -16,7 +16,10 @@ rounds to exactly 1.0. ``Adam`` densifies a row gradient with at least a
 quarter as many entries as its table has rows, so warm fine-tuning's ``E``
 and ``Q`` take the dense path in every other config; the
 ptupcdr-finetune_items-small_batch config fine-tunes on batches of 2, which
-keeps its ``E`` (28 rows) and ``Q`` (80 rows) on the row path. Two configs
+keeps its ``E`` (28 rows) and ``Q`` (80 rows) on the row path. The
+emcdr-shared_linear config's world has one shared bridge and no rating noise,
+so the generator's shared-bridge and noise-free branches are compared too;
+every other synthetic world has per-user bridges and noise. Two configs
 read rating logs (csv + csv and csv + json-lines) that the script writes once into
 OUT_DIR/logs from a fixed world. The emcdr, ptupcdr and
 ptupcdr_mapping_ablation mf configs and the ptupcdr csv + csv config run a
@@ -114,6 +117,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
     configs["ptupcdr-seq3-tanh"] = {"method": "ptupcdr", "max_seq_len": 3, "activation": "tanh"}
     configs["ptupcdr-two_tower-tanh"] = {"method": "ptupcdr", "base_model": "two_tower",
                                          "activation": "tanh"}
+    configs["emcdr-shared_linear"] = {
+        "method": "emcdr", "base_model": "mf",
+        "task": {**TASK, "bridge_family": "shared_linear", "noise_sd": 0.0}}
     configs["cmf-small_batch"] = {"method": "cmf",
                                   "pretrain": {**BASE["pretrain"], "batch_size": 16},
                                   "finetune": {**BASE["finetune"], "epochs": 40, "batch_size": 8}}
