@@ -15,7 +15,10 @@ generator parameters receive gradients.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,23 +69,50 @@ class MetaNetwork:
         return self.net.params()
 
 
-def _truncated(enc: CharacteristicEncoder, seq):
-    """The most recent ``max_seq_len`` entries (rows) of a sequence; all with no cap."""
-    if len(seq) == 0:
+@dataclass(frozen=True)
+class Sequences:
+    """Many users' sequences laid end to end: sequence i is ``rows[ends[i] - lens[i]:ends[i]]``.
+
+    A row is an index into ``table`` or, with no table, an item embedding. Indexing
+    with a slice or an index array takes those users' sequences.
+    """
+
+    rows: np.ndarray
+    ends: np.ndarray
+    lens: np.ndarray
+    table: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, seqs) -> Sequences:
+        """One sequence per item-embedding matrix of ``seqs``."""
+        lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        return cls(np.concatenate(seqs) if len(seqs) else np.empty((0, 0)), np.cumsum(lens), lens)
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def __getitem__(self, users) -> Sequences:
+        return Sequences(self.rows, self.ends[users], self.lens[users], self.table)
+
+
+def _kept(enc: CharacteristicEncoder, seqs: Sequences):
+    """The (n, L) mask of each sequence's most recent ``max_seq_len`` entries (all with no
+    cap), L the longest kept length, and the index in ``seqs.rows`` of each masked entry."""
+    if not seqs.lens.all():
         raise ColdSourceUserError("empty source sequence: user is cold in the source domain too")
-    return seq if enc.max_seq_len is None else seq[-enc.max_seq_len:]
+    lens = seqs.lens if enc.max_seq_len is None else np.minimum(seqs.lens, enc.max_seq_len)
+    steps = np.arange(lens.max(initial=0))
+    mask = steps < lens[:, None]
+    return mask, ((seqs.ends - lens)[:, None] + steps)[mask]
 
 
-def _attention(enc: CharacteristicEncoder, seqs, table=None):
-    """Truncate and zero-pad item-embedding matrices (or, given ``table``, arrays of
-    its row indices) to (n, L, k); return that batch, attention weights (n, L)
-    that are 0 on padding and sum to 1 per row, and the encoder cache (padded
-    rows get zero gradient through the weights)."""
-    seqs = [_truncated(enc, seq) for seq in seqs]
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    mask = np.arange(lens.max()) < lens[:, None]
+def _attention(enc: CharacteristicEncoder, seqs: Sequences):
+    """Gather the kept entries of ``seqs`` zero-padded to (n, L, k); return that batch,
+    attention weights (n, L) that are 0 on padding and sum to 1 per row, and the
+    encoder cache (padded rows get zero gradient through the weights)."""
+    mask, rows = _kept(enc, seqs)
     X = np.zeros(mask.shape + (enc.k,))
-    X[mask] = np.concatenate(seqs) if table is None else table[np.concatenate(seqs)]
+    X[mask] = seqs.rows[rows] if seqs.table is None else seqs.table[seqs.rows[rows]]
     raw, cache_h = enc.net.forward_cached(X.reshape(-1, enc.k))
     scores = np.where(mask, raw.reshape(mask.shape), -np.inf)
     if not np.all(np.isfinite(scores[mask])):
@@ -91,21 +121,43 @@ def _attention(enc: CharacteristicEncoder, seqs, table=None):
     return X, z / z.sum(axis=1, keepdims=True), cache_h
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferContext:
     """Frozen quantities the bridge stage reads.
 
     user_reprs/item_reprs live in the source model's representation space,
     tgt_scoring holds the vectors target ratings are predicted against, and
     tgt_user_reprs supervise the embedding-matching objective. ``sequences``
-    maps source user index to time-ordered source item indices.
+    maps source user index to time-ordered source item indices; it is a
+    read-only copy, so the flat index the kernel reads (built on first use,
+    never for emcdr) always agrees with it.
     """
 
     user_reprs: np.ndarray
     item_reprs: np.ndarray
-    sequences: dict[int, np.ndarray]
+    sequences: Mapping[int, np.ndarray]
     tgt_scoring: np.ndarray
     tgt_user_reprs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "sequences", MappingProxyType(dict(self.sequences)))
+
+    @cached_property
+    def _index(self):
+        """Every sequence end to end in user order, and per user index its end and length
+        (0 for a user without one); one trailing zero length covers every larger index."""
+        users = sorted(self.sequences)
+        lens = np.zeros(users[-1] + 2 if users else 1, dtype=np.int64)
+        lens[users] = [len(self.sequences[u]) for u in users]
+        items = np.concatenate([np.empty(0, np.int64), *(self.sequences[u] for u in users)])
+        return items, np.cumsum(lens), lens
+
+    def sequences_of(self, users) -> Sequences:
+        """The sequences of ``users``, as indices into ``item_reprs``; a user without one
+        has length 0."""
+        items, ends, lens = self._index
+        users = np.minimum(np.asarray(users, dtype=np.int64), len(lens) - 1)
+        return Sequences(items, ends[users], lens[users], self.item_reprs)
 
 
 def build_context(src_model: DomainModel, tgt_model: DomainModel,
@@ -119,9 +171,9 @@ def build_context(src_model: DomainModel, tgt_model: DomainModel,
     )
 
 
-def _forward(enc: CharacteristicEncoder, meta: MetaNetwork, seqs, table=None):
+def _forward(enc: CharacteristicEncoder, meta: MetaNetwork, seqs: Sequences):
     """Bridges (n, k, k) for a batch of sequences as in ``_attention``, and the backward cache."""
-    X, a, cache_h = _attention(enc, seqs, table)
+    X, a, cache_h = _attention(enc, seqs)
     w, cache_g = meta.net.forward_cached(np.einsum("nl,nlk->nk", a, X))
     return w.reshape(len(X), meta.k, meta.k), (X, a, cache_h, cache_g)
 
@@ -136,27 +188,20 @@ def _backward(enc, meta, cache, dW):
     return _namespaced(h_grads, g_grads)
 
 
-def _bridge_loss(enc, meta, seqs, u_src, head, table=None):
+def _bridge_loss(enc, meta, seqs: Sequences, u_src, head):
     """Sum of ``head(block, u_hat) -> (loss, d(loss)/d(u_hat))`` over user slices of
     BLOCK_USERS, with gradients; u_src[i] goes through the bridge from seqs[i]."""
     grads = {n: np.zeros_like(p) for n, p in _namespaced(enc.params(), meta.params()).items()}
     loss = 0.0
     for start in range(0, len(seqs), BLOCK_USERS):
         block = slice(start, start + BLOCK_USERS)
-        W, cache = _forward(enc, meta, seqs[block], table)
+        W, cache = _forward(enc, meta, seqs[block])
         S = u_src[block]
         block_loss, d_uhat = head(block, np.einsum("nij,nj->ni", W, S))
         loss += block_loss
         for name, g in _backward(enc, meta, cache, np.einsum("ni,nj->nij", d_uhat, S)).items():
             grads[name] += g
     return loss, grads
-
-
-def _with_source(ctx: TransferContext, src_user) -> np.ndarray:
-    """Mask of entries whose user has source interactions (one lookup per distinct user)."""
-    users, inv = np.unique(src_user, return_inverse=True)
-    has = np.array([len(ctx.sequences.get(u, ())) > 0 for u in users.tolist()], dtype=bool)
-    return has[inv]
 
 
 def _namespaced(enc_side, meta_side):
@@ -179,7 +224,7 @@ def task_oriented_loss(enc: CharacteristicEncoder, meta: MetaNetwork,
     src_user = np.asarray(src_user)
     tgt_item = np.asarray(tgt_item)
     rating = np.asarray(rating, dtype=np.float64)
-    usable = _with_source(ctx, src_user)
+    usable = ctx.sequences_of(src_user).lens > 0
     n_skipped = int((~usable).sum())
     src_user, tgt_item, rating = src_user[usable], tgt_item[usable], rating[usable]
     B = len(rating)
@@ -195,18 +240,18 @@ def task_oriented_loss(enc: CharacteristicEncoder, meta: MetaNetwork,
         err = np.einsum("bk,bk->b", Q[take], u_hat[rows]) - rating[take]
         return float(err @ err), table_grad(u_hat, rows, (2.0 / B) * err[:, None] * Q[take])
 
-    seqs = [ctx.sequences[u] for u in users.tolist()]
-    loss, grads = _bridge_loss(enc, meta, seqs, ctx.user_reprs[users], head, ctx.item_reprs)
+    loss, grads = _bridge_loss(enc, meta, ctx.sequences_of(users), ctx.user_reprs[users], head)
     return loss / B, grads, n_skipped
 
 
 def mapping_oriented_loss(bridge, u_src: np.ndarray, u_tgt: np.ndarray,
-                          seq_embs: list[np.ndarray] | None = None):
+                          seq_embs: list[np.ndarray] | Sequences | None = None):
     """Sum over users of ||bridge(u_src) - u_tgt||^2, with gradients.
 
     ``bridge`` is either one shared (k, k) matrix or an (encoder, generator)
     pair; the pair needs ``seq_embs``, one item-embedding matrix per row of
-    ``u_src``. Zero iff every transformed vector matches its target.
+    ``u_src`` or their ``Sequences``. Zero iff every transformed vector matches
+    its target.
     """
     u_src = np.atleast_2d(np.asarray(u_src, dtype=np.float64))
     u_tgt = np.atleast_2d(np.asarray(u_tgt, dtype=np.float64))
@@ -225,7 +270,8 @@ def mapping_oriented_loss(bridge, u_src: np.ndarray, u_tgt: np.ndarray,
         err = u_hat - u_tgt[block]
         return float(np.sum(err * err)), 2.0 * err
 
-    return _bridge_loss(enc, meta, seq_embs, u_src, head)
+    seqs = seq_embs if isinstance(seq_embs, Sequences) else Sequences.stack(seq_embs)
+    return _bridge_loss(enc, meta, seqs, u_src, head)
 
 
 def train_common_bridge(u_src: np.ndarray, u_tgt: np.ndarray,
@@ -255,7 +301,7 @@ def train_meta(enc: CharacteristicEncoder, meta: MetaNetwork, ctx: TransferConte
     users. Returns the TrainRecord of ``nn.fit``; triples of users with no
     source sequence are dropped and count as skipped.
     """
-    usable = _with_source(ctx, src_user)
+    usable = ctx.sequences_of(src_user).lens > 0
     dropped = int((~usable).sum())
     src_user, tgt_item, rating = (np.asarray(a)[usable] for a in (src_user, tgt_item, rating))
     n = len(rating)
@@ -286,7 +332,7 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
     """
     src_users = np.asarray(src_users)
     tgt_users = np.asarray(tgt_users)
-    usable = _with_source(ctx, src_users)
+    usable = ctx.sequences_of(src_users).lens > 0
     src_users, tgt_users = src_users[usable], tgt_users[usable]
     n = len(src_users)
     if n == 0:
@@ -296,9 +342,9 @@ def train_meta_mapping(enc: CharacteristicEncoder, meta: MetaNetwork,
 
     def batch_fn(take):
         rows = src_users[take]
-        seq_embs = [ctx.item_reprs[ctx.sequences[int(u)]] for u in rows]
         return mapping_oriented_loss((enc, meta), ctx.user_reprs[rows],
-                                     ctx.tgt_user_reprs[tgt_users[take]], seq_embs)
+                                     ctx.tgt_user_reprs[tgt_users[take]],
+                                     ctx.sequences_of(rows))
 
     return fit(params, batch_fn, n, config, rng, "meta mapping training",
                skipped=int((~usable).sum()))
@@ -312,14 +358,14 @@ def transform_users(enc: CharacteristicEncoder, meta: MetaNetwork,
     interactions raises ColdSourceUserError.
     """
     src_users = np.asarray(src_users, dtype=np.int64)
-    seqs = [ctx.sequences.get(u, ()) for u in src_users.tolist()]
-    for u, seq in zip(src_users, seqs):
-        if len(seq) == 0:
-            raise ColdSourceUserError(f"user index {u} has no source interactions")
+    seqs = ctx.sequences_of(src_users)
+    if not seqs.lens.all():
+        u = src_users[np.flatnonzero(seqs.lens == 0)[0]]
+        raise ColdSourceUserError(f"user index {u} has no source interactions")
     out = np.empty((len(seqs), meta.k))
     for start in range(0, len(seqs), BLOCK_USERS):
         block = slice(start, start + BLOCK_USERS)
-        W, _ = _forward(enc, meta, seqs[block], ctx.item_reprs)
+        W, _ = _forward(enc, meta, seqs[block])
         # stacked matrix-vector products: row i is exactly W[i] @ s_i
         out[block] = (W @ ctx.user_reprs[src_users[block], :, None])[..., 0]
     return out
@@ -335,20 +381,23 @@ def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,
                     src_users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (user index, item index, weight) for export, one row per item of each
     user's truncated sequence; users without a sequence are left out."""
-    users = [int(u) for u in src_users if len(ctx.sequences.get(int(u), ())) > 0]
-    seqs = [_truncated(enc, ctx.sequences[u]) for u in users]
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    weights = [np.empty(0)]  # empty first pieces keep the dtypes when no user is left
+    src_users = np.asarray(src_users, dtype=np.int64)
+    seqs = ctx.sequences_of(src_users)
+    has = seqs.lens > 0
+    users, seqs = src_users[has], seqs[has]
+    mask, rows = _kept(enc, seqs)
+    weights = [np.empty(0)]  # an empty first piece keeps the dtype when no user is left
     for start in range(0, len(users), BLOCK_USERS):
         block = slice(start, start + BLOCK_USERS)
-        _, a, _ = _attention(enc, seqs[block], ctx.item_reprs)
-        weights.append(a[np.arange(a.shape[1]) < lens[block, None]])
-    return (np.repeat(np.asarray(users, dtype=np.int64), lens),
-            np.concatenate([np.empty(0, np.int64), *seqs]), np.concatenate(weights))
+        _, a, _ = _attention(enc, seqs[block])
+        weights.append(a[mask[block, :a.shape[1]]])  # the block's own mask
+    return np.repeat(users, mask.sum(axis=1)), seqs.rows[rows], np.concatenate(weights)
 
 
-def save_bridge_nets(prefix, enc: CharacteristicEncoder, meta: MetaNetwork) -> None:
-    info = {"kind": "bridge_nets", "k": meta.k,
+def save_bridge_nets(prefix, enc: CharacteristicEncoder, meta: MetaNetwork,
+                     info: dict | None = None) -> None:
+    """Save an encoder and generator; ``info`` adds entries to the manifest's meta."""
+    info = {**(info or {}), "kind": "bridge_nets", "k": meta.k,
             "max_seq_len": enc.max_seq_len,
             "enc_activation": enc.net.activation,
             "meta_activation": meta.net.activation}
@@ -365,3 +414,19 @@ def load_bridge_nets(prefix):
     meta = MetaNetwork(k, activation=info.get("meta_activation", "relu"))
     checkpoint.copy_into(_namespaced(enc.params(), meta.params()), tensors, prefix)
     return enc, meta
+
+
+def save_common_bridge(prefix, W: np.ndarray, info: dict | None = None) -> None:
+    """Save one shared bridge; ``info`` adds entries to the manifest's meta."""
+    checkpoint.save_tensors(prefix, {"W": W}, {**(info or {}), "kind": "common_bridge",
+                                               "k": len(W)})
+
+
+def load_common_bridge(prefix) -> np.ndarray:
+    tensors, info = checkpoint.load_tensors(prefix)
+    if info.get("kind") != "common_bridge":
+        raise ValueError(f"checkpoint at {prefix} is not a common-bridge checkpoint")
+    k = checkpoint.meta_k(info, prefix)
+    W = np.empty((k, k))
+    checkpoint.copy_into({"W": W}, tensors, prefix)
+    return W

@@ -60,16 +60,23 @@ def _entries(manifest, prefix) -> list[tuple[str, tuple[int, ...], np.dtype]]:
     return entries
 
 
+def _manifest(prefix: Path):
+    """The parsed manifest of the checkpoint at ``prefix``, and its ``_entries``."""
+    manifest_path = prefix.with_suffix(prefix.suffix + ".json")
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"missing checkpoint artifact: {manifest_path}")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    return manifest, _entries(manifest, prefix)
+
+
 def load_tensors(prefix):
     """Load a checkpoint; returns (tensors, meta)."""
     prefix = Path(prefix)
-    manifest_path = prefix.with_suffix(prefix.suffix + ".json")
     blob_path = prefix.with_suffix(prefix.suffix + ".bin")
-    for p in (manifest_path, blob_path):
+    for p in (prefix.with_suffix(prefix.suffix + ".json"), blob_path):
         if not p.exists():
             raise FileNotFoundError(f"missing checkpoint artifact: {p}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    entries = _entries(manifest, prefix)
+    manifest, entries = _manifest(prefix)
     expected = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
     size = blob_path.stat().st_size
     if size != expected:
@@ -80,6 +87,11 @@ def load_tensors(prefix):
         tensors = {name: np.fromfile(f, dtype=dtype, count=math.prod(shape)).reshape(shape)
                    for name, shape, dtype in entries}
     return tensors, manifest.get("meta", {})
+
+
+def load_meta(prefix) -> dict:
+    """The meta of the checkpoint at ``prefix``, read from its manifest alone."""
+    return _manifest(Path(prefix))[0].get("meta", {})
 
 
 def meta_k(meta: dict, prefix) -> int:

@@ -20,9 +20,10 @@ from pathlib import Path
 from .data import FORMATS, load_domain, make_split, write_csv
 from .models import TrainConfig
 from .pipeline import (BRIDGE_NET_METHODS, METHOD_FIELDS, AmazonTask, ExperimentPlan,
-                       SyntheticSpec, SyntheticTask, load_checkpoints, report_row, run_cold,
-                       run_plan, run_suite, save_checkpoints, sweep_plans, write_attention_csv,
-                       write_embeddings_csv, write_suite_csv, write_suite_json)
+                       SyntheticSpec, SyntheticTask, load_checkpoints, load_transfer, report_row,
+                       run_cold, run_plan, run_suite, save_checkpoints, sweep_plans,
+                       write_attention_csv, write_embeddings_csv, write_suite_csv,
+                       write_suite_json)
 
 logger = logging.getLogger(__name__)
 
@@ -199,11 +200,11 @@ def cmd_run(args) -> int:
     plan = build_plan(cfg, args.seed)
     _check_reads(cfg, [plan])
     pretrained = _load_pretrained(cfg, plan)
-    out = _out_dir(args.out_dir, cfg.get("out_dir"))
 
     # output files stay byte-identical across reruns unless timings are asked for
     record_runtime = bool(cfg.get("record_runtime", False))
     (cold, t_cold), (warm, t_warm) = run_plan(plan, pretrained)
+    out = _out_dir(args.out_dir, cfg.get("out_dir"))  # a failed plan leaves no directory
     rows = [{**report_row(plan, report, t, record_runtime), "counters": report.counters}
             for report, t in ((cold.report, t_cold), (warm, t_warm))]
     write_suite_csv(rows, out / "report.csv")
@@ -250,7 +251,10 @@ def cmd_export(args) -> int:
     _check_reads(cfg, [plan])
     if args.what in ("attention", "both") and plan.method not in BRIDGE_NET_METHODS:
         raise ConfigError("attention export needs a ptupcdr-family method")
-    cold = run_cold(plan, pretrained=_load_pretrained(cfg, plan))
+    pretrained = _load_pretrained(cfg, plan)
+    if pretrained is not None:  # meta_only: export the bridge its checkpoints hold
+        pretrained.update(load_transfer(plan, cfg["checkpoint_dir"], pretrained))
+    cold = run_cold(plan, pretrained=pretrained)
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
     if args.what in ("attention", "both"):
         write_attention_csv(cold, out / "attention.csv")

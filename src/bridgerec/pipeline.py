@@ -10,6 +10,7 @@ comparisons, and a suite runner aggregates many plans into one report table.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import logging
 import time
@@ -21,8 +22,9 @@ import numpy as np
 
 from . import checkpoint
 from .bridge import (BLOCK_USERS, CharacteristicEncoder, MetaNetwork, attention_table,
-                     build_context, save_bridge_nets, train_common_bridge, train_meta,
-                     train_meta_mapping, transform_users)
+                     build_context, load_bridge_nets, load_common_bridge, save_bridge_nets,
+                     save_common_bridge, train_common_bridge, train_meta, train_meta_mapping,
+                     transform_users)
 from .data import (CHUNK_ROWS, FORMATS, RATING_MAX, RATING_MIN, DomainDataset, SplitPlan,
                    build_sequences, dataset_from_codes, filter_to_indices, load_dataset,
                    load_domain, log_source, make_split, save_dataset, write_csv)
@@ -420,34 +422,18 @@ def _pretrained(shared: dict, side: str, data: DomainDataset, plan: ExperimentPl
     return shared[f"{side}_model"]
 
 
-def _transfer(plan: ExperimentPlan, shared: dict, seeds: dict, traces: dict, counters: dict):
-    """The plan's transfer method: (scoring table, ``ColdRun.init``, artifacts). cmf trains
-    one mf model on both domains; tgt scores with the target model alone; emcdr learns one
-    bridge for all users; the ptupcdr family generates each user's bridge from their
-    source history. ``METHOD_FIELDS`` names the plan fields each method reads."""
+def _train_transfer(plan: ExperimentPlan, shared: dict, ctx, seeds: dict, traces: dict,
+                    counters: dict):
+    """Train the plan's bridge stage on the train overlap users: emcdr's shared bridge W,
+    or a ptupcdr-family (encoder, generator) pair."""
     src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
-    if plan.method == "cmf":
-        cmf, traces["cmf"] = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
-        return cmf.tgt_items, cmf.users[[cmf.user_map.index(u) for u in split.test_users]], {}
-    tgt_model = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"], traces)
-    scoring = item_scoring_vectors(tgt_model)
-    if plan.method == "tgt":
-        # one tower pass per user: a batched pass rounds two_tower outputs differently
-        return scoring, np.array([user_representation(tgt_model, tgt.users.index(u))
-                                  for u in split.test_users]), {"tgt_model": tgt_model}
-    src_model = _pretrained(shared, "src", src, plan, seeds["src"], traces)
-    ctx = build_context(src_model, tgt_model, build_sequences(src))
-    artifacts = {"tgt_model": tgt_model, "src_model": src_model, "ctx": ctx}
     train_src = np.array([src.users.index(u) for u in split.train_overlap_users], dtype=np.int64)
     train_tgt = np.array([tgt.users.index(u) for u in split.train_overlap_users], dtype=np.int64)
-    test_src = [src.users.index(u) for u in split.test_users]
     if plan.method == "emcdr":
         W, traces["bridge"] = train_common_bridge(ctx.user_reprs[train_src],
                                                   ctx.tgt_user_reprs[train_tgt],
                                                   plan.bridge, seed=seeds["bridge"])
-        # stacked matrix-vector products: row i is exactly W @ s_i
-        return (scoring, (W @ ctx.user_reprs[test_src, :, None])[..., 0],
-                {**artifacts, "common_bridge": W})
+        return W
     rng = np.random.default_rng(seeds["nets"])
     enc = CharacteristicEncoder(plan.k, max_seq_len=plan.max_seq_len,
                                 activation=plan.activation, rng=rng)
@@ -467,6 +453,36 @@ def _transfer(plan: ExperimentPlan, shared: dict, seeds: dict, traces: dict, cou
     else:  # ptupcdr_mapping_ablation
         traces["bridge"] = train_meta_mapping(enc, meta, ctx, train_src, train_tgt,
                                               plan.bridge, seed=seeds["bridge"])
+    return enc, meta
+
+
+def _transfer(plan: ExperimentPlan, shared: dict, seeds: dict, traces: dict, counters: dict):
+    """The plan's transfer method: (scoring table, ``ColdRun.init``, artifacts). cmf trains
+    one mf model on both domains; tgt scores with the target model alone; emcdr learns one
+    bridge for all users; the ptupcdr family generates each user's bridge from their
+    source history. ``METHOD_FIELDS`` names the plan fields each method reads. A bridge
+    method takes ``shared["transfer"]`` when it is there, else trains it."""
+    src, tgt, split, tgt_train = (shared[key] for key in ("src", "tgt", "split", "tgt_train"))
+    if plan.method == "cmf":
+        cmf, traces["cmf"] = cmf_train(src, tgt_train, plan.k, plan.pretrain, seed=seeds["tgt"])
+        return cmf.tgt_items, cmf.users[[cmf.user_map.index(u) for u in split.test_users]], {}
+    tgt_model = _pretrained(shared, "tgt", tgt_train, plan, seeds["tgt"], traces)
+    scoring = item_scoring_vectors(tgt_model)
+    if plan.method == "tgt":
+        # one tower pass per user: a batched pass rounds two_tower outputs differently
+        return scoring, np.array([user_representation(tgt_model, tgt.users.index(u))
+                                  for u in split.test_users]), {"tgt_model": tgt_model}
+    src_model = _pretrained(shared, "src", src, plan, seeds["src"], traces)
+    ctx = build_context(src_model, tgt_model, build_sequences(src))
+    artifacts = {"tgt_model": tgt_model, "src_model": src_model, "ctx": ctx}
+    transfer = (shared["transfer"] if "transfer" in shared
+                else _train_transfer(plan, shared, ctx, seeds, traces, counters))
+    test_src = [src.users.index(u) for u in split.test_users]
+    if plan.method == "emcdr":
+        # stacked matrix-vector products: row i is exactly W @ s_i
+        return (scoring, (transfer @ ctx.user_reprs[test_src, :, None])[..., 0],
+                {**artifacts, "common_bridge": transfer})
+    enc, meta = transfer
     return (scoring, transform_users(enc, meta, ctx, test_src),
             {**artifacts, "enc": enc, "meta": meta})
 
@@ -478,6 +494,10 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
     "split", "tgt_train", "src_model" and "tgt_model", and the models' TrainRecords
     "src_trace" and "tgt_trace" (``load_checkpoints`` gives no split and no records).
     run_cold reuses what the dict holds and adds what it builds; it modifies no entry.
+    One key is the plan's own, not shared: "transfer", the bridge-stage result
+    ``load_transfer`` read from checkpoints (emcdr's W or a ptupcdr-family (encoder,
+    generator)). With it the bridge stage trains nothing, so the report has no "bridge"
+    trace and counts no skipped meta samples; run_cold never adds it.
     """
     seeds = _stage_seeds(plan.seed)
     shared = {} if pretrained is None else pretrained
@@ -505,27 +525,41 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                    scoring=scoring, init=init, artifacts=artifacts)
 
 
+def _transfer_record(plan: ExperimentPlan, src_model, tgt_model) -> dict:
+    """What a bridge stage's result depends on, as a checkpoint manifest holds it: the plan
+    fields it read and a sha256 of the two models it bridges."""
+    digest = hashlib.sha256()
+    for model in (src_model, tgt_model):
+        for name, p in sorted(model.params().items()):
+            digest.update(f"{name}{p.shape}".encode())
+            digest.update(p.tobytes())
+    return {"method": plan.method, "base_model": plan.base_model, "k": plan.k,
+            "beta": plan.beta, "seed": plan.seed, "activation": plan.activation,
+            "max_seq_len": plan.max_seq_len, "bridge": asdict(plan.bridge),
+            "models": digest.hexdigest()}
+
+
 def save_checkpoints(cold: ColdRun, ckpt_dir: Path) -> None:
     """Save the cold run's models and bridge. With both domain models, the methods
     stage meta_only reads, also save both domains; each domain's meta holds where it
-    came from and the plan's beta and seed, which fix the split."""
+    came from and the plan's beta and seed, which fix the split. A bridge's meta holds,
+    under "trained_with", ``_transfer_record``, which ``load_transfer`` checks."""
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    if "src_model" in cold.artifacts:
-        plan = cold.plan
+    artifacts, plan = cold.artifacts, cold.plan
+    if "src_model" in artifacts:
         for side in ("src", "tgt"):
             save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side),
                          {"source": _domain_source(plan, side), "beta": plan.beta,
                           "seed": plan.seed})
-        save_model(ckpt_dir / "src_model", cold.artifacts["src_model"])
-    if "tgt_model" in cold.artifacts:
-        save_model(ckpt_dir / "tgt_model", cold.artifacts["tgt_model"])
-    if "common_bridge" in cold.artifacts:
-        checkpoint.save_tensors(ckpt_dir / "common_bridge",
-                                {"W": cold.artifacts["common_bridge"]},
-                                {"kind": "common_bridge"})
-    if "enc" in cold.artifacts:
-        save_bridge_nets(ckpt_dir / "bridge_nets", cold.artifacts["enc"],
-                         cold.artifacts["meta"])
+        save_model(ckpt_dir / "src_model", artifacts["src_model"])
+        record = {"trained_with": _transfer_record(plan, artifacts["src_model"],
+                                                   artifacts["tgt_model"])}
+    if "tgt_model" in artifacts:
+        save_model(ckpt_dir / "tgt_model", artifacts["tgt_model"])
+    if "common_bridge" in artifacts:
+        save_common_bridge(ckpt_dir / "common_bridge", artifacts["common_bridge"], record)
+    if "enc" in artifacts:
+        save_bridge_nets(ckpt_dir / "bridge_nets", artifacts["enc"], artifacts["meta"], record)
 
 
 def load_checkpoints(plan: ExperimentPlan, ckpt_dir) -> dict:
@@ -567,6 +601,27 @@ def load_checkpoints(plan: ExperimentPlan, ckpt_dir) -> dict:
                                  f"users and {model.n_items} items, but {name} has "
                                  f"{ds.n_users} users and {ds.n_items} items")
     return loaded
+
+
+def load_transfer(plan: ExperimentPlan, ckpt_dir, loaded: dict) -> dict:
+    """``{"transfer": ...}`` for ``run_cold``: the bridge ``save_checkpoints`` wrote in
+    ``ckpt_dir``, when its "trained_with" equals ``_transfer_record`` of ``plan`` and the
+    models of ``loaded`` (what ``load_checkpoints`` returned). A bridge that is missing,
+    unreadable or saved before the record, or for another plan or other models, gives
+    {}, and ``run_cold`` trains it again."""
+    emcdr = plan.method == "emcdr"
+    prefix = Path(ckpt_dir) / ("common_bridge" if emcdr else "bridge_nets")
+    record = _transfer_record(plan, loaded["src_model"], loaded["tgt_model"])
+    try:
+        if checkpoint.load_meta(prefix).get("trained_with") != record:
+            return {}
+        return {"transfer": load_common_bridge(prefix) if emcdr else load_bridge_nets(prefix)}
+    except FileNotFoundError:
+        return {}
+    except (KeyError, ValueError) as exc:
+        logger.warning("the bridge checkpoint at %s is unreadable, so the bridge stage "
+                       "trains again: %s", prefix, exc)
+        return {}
 
 
 # ---------------------------------------------------------------------------

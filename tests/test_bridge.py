@@ -24,13 +24,14 @@ def _meta(k=4, seed=2, **kw):
     return MetaNetwork(k, rng=np.random.default_rng(seed), **kw)
 
 
-def _ctx(k=4, n_users=3, n_items=6, seed=7):
+def _ctx(k=4, n_users=3, n_items=6, seed=7, without=()):
+    """A three-user context; the users in ``without`` have no source sequence."""
     rng = np.random.default_rng(seed)
+    sequences = {0: np.array([0, 1, 2]), 1: np.array([3, 4]), 2: np.array([5, 0, 1, 3])}
     return TransferContext(
         user_reprs=rng.normal(size=(n_users, k)),
         item_reprs=rng.normal(size=(n_items, k)),
-        sequences={0: np.array([0, 1, 2]), 1: np.array([3, 4]),
-                   2: np.array([5, 0, 1, 3])},
+        sequences={u: seq for u, seq in sequences.items() if u not in without},
         tgt_scoring=rng.normal(size=(n_items, k)),
         tgt_user_reprs=rng.normal(size=(n_users, k)))
 
@@ -220,14 +221,12 @@ def test_task_loss_zero_when_bridge_reproduces_ratings():
 
 def test_task_loss_skips_users_without_source_history():
     enc, meta = _enc(), _meta()
-    ctx = _ctx()
-    ctx.sequences.pop(1)
+    ctx = _ctx(without=(1,))
     loss, _, skipped = task_oriented_loss(enc, meta, ctx, np.array([0, 1]),
                                           np.array([0, 1]), np.array([1.0, 2.0]))
     assert skipped == 1
     with pytest.raises(ValueError):
-        ctx2 = _ctx()
-        ctx2.sequences.clear()
+        ctx2 = _ctx(without=(0, 1, 2))
         task_oriented_loss(enc, meta, ctx2, np.array([0]), np.array([0]),
                            np.array([1.0]))
 
@@ -356,8 +355,7 @@ def test_train_meta_is_deterministic_and_counts_samples():
 
 
 def test_train_meta_warns_once_about_skipped_samples(caplog):
-    ctx = _ctx(k=3)
-    ctx.sequences.pop(1)
+    ctx = _ctx(k=3, without=(1,))
     su = np.array([0, 1, 2, 1, 0, 2, 1, 2])
     it = np.arange(len(su)) % 6
     record = train_meta(_enc(k=3), _meta(k=3), ctx, su, it, np.full(len(su), 2.0),
@@ -374,8 +372,7 @@ def test_train_meta_warns_once_about_skipped_samples(caplog):
 def test_train_meta_survives_batches_without_source_history(seed):
     # four of six samples belong to user 1, so every epoch of 2-sample batches
     # has a batch made only of user 1
-    ctx = _ctx(k=3)
-    ctx.sequences.pop(1)
+    ctx = _ctx(k=3, without=(1,))
     su = np.array([0, 1, 1, 2, 1, 1])
     record = train_meta(_enc(k=3), _meta(k=3), ctx, su, np.arange(len(su)), np.full(len(su), 2.0),
                         TrainConfig(lr=0.01, epochs=3, batch_size=2), seed=seed)

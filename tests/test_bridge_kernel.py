@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, ColdSourceUserError,
-                              MetaNetwork, TransferContext, attention_table,
-                              mapping_oriented_loss, task_oriented_loss, transform_user,
-                              transform_users)
+                              MetaNetwork, Sequences, TransferContext, _attention,
+                              attention_table, mapping_oriented_loss, task_oriented_loss,
+                              transform_user, transform_users)
 from bridgerec.nn import grad_check, prefix_params, softmax
-from reference import attention_scores
+from reference import (attention_scores, padded_attention, padded_attention_table,
+                       padded_mapping_loss, padded_task_loss, padded_transform_users)
 
 TOL = 1e-12
 
@@ -197,6 +198,97 @@ def test_non_finite_attention_scores_raise():
     enc.net.b2[...] = np.inf
     with pytest.raises(ValueError, match="finite"):
         transform_user(enc, meta, ctx, 0)
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the list-padding kernel the flat sequence index replaced
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_grads(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        _same_bytes(got[name], want[name])
+
+
+FLAT = [(act, cap) for act in ("relu", "tanh") for cap in (None, 1, 3)]
+
+
+@pytest.mark.parametrize("activation,max_seq_len", FLAT)
+def test_flat_index_pads_each_block_as_the_list_kernel_did(activation, max_seq_len):
+    ctx = _world(2 * BLOCK_USERS + 20, cap=3)  # lengths 1, 3, 6, 2, 9; every 7th user has none
+    enc, _ = _nets(activation, max_seq_len)
+    users = np.array(sorted(ctx.sequences))
+    for block in (users[:BLOCK_USERS], users[BLOCK_USERS:], users[-3:], users[:1]):
+        want = padded_attention(enc, [ctx.sequences[u] for u in block.tolist()], ctx.item_reprs)
+        got = _attention(enc, ctx.sequences_of(block))
+        embs = [ctx.item_reprs[ctx.sequences[u]] for u in block.tolist()]
+        stacked = _attention(enc, Sequences.stack(embs))
+        for g, s, w in zip(got[:2], stacked[:2], want[:2]):  # X and the weights
+            _same_bytes(g, w)
+            _same_bytes(s, w)
+
+
+@pytest.mark.parametrize("activation,max_seq_len", FLAT)
+def test_flat_index_losses_and_inference_equal_the_list_kernel(activation, max_seq_len):
+    n_users = 2 * BLOCK_USERS + 20
+    ctx = _world(n_users, cap=3)
+    enc, meta = _nets(activation, max_seq_len)
+    rng = np.random.default_rng(1)
+    su = np.concatenate([np.arange(n_users), rng.integers(0, n_users + 5, size=300)])
+    rng.shuffle(su)  # repeats, users without a sequence and users past the largest key
+    it = rng.integers(0, 40, size=len(su))
+    r = rng.uniform(0, 5, size=len(su))
+    loss, grads, skipped = task_oriented_loss(enc, meta, ctx, su, it, r)
+    want_loss, want_grads, want_skipped = padded_task_loss(enc, meta, ctx, su, it, r)
+    assert (loss, skipped) == (want_loss, want_skipped) and skipped > 0
+    _same_grads(grads, want_grads)
+
+    users = np.array(sorted(ctx.sequences))
+    users = rng.permutation(np.concatenate([users, users[:5]]))
+    u_src, u_tgt = ctx.user_reprs[users], ctx.tgt_user_reprs[users]
+    seq_embs = [ctx.item_reprs[ctx.sequences[u]] for u in users.tolist()]
+    want_loss, want_grads = padded_mapping_loss(enc, meta, u_src, u_tgt, seq_embs)
+    for seqs in (seq_embs, ctx.sequences_of(users)):
+        loss, grads = mapping_oriented_loss((enc, meta), u_src, u_tgt, seqs)
+        assert loss == want_loss
+        _same_grads(grads, want_grads)
+
+    _same_bytes(transform_users(enc, meta, ctx, users),
+                padded_transform_users(enc, meta, ctx, users))
+    for got, want in zip(attention_table(enc, ctx, np.arange(n_users + 5)),
+                         padded_attention_table(enc, ctx, range(n_users + 5))):
+        _same_bytes(got, want)
+    for got, want in zip(attention_table(enc, ctx, []), padded_attention_table(enc, ctx, [])):
+        _same_bytes(got, want)
+
+
+def test_a_user_without_a_sequence_has_the_same_error_as_before():
+    ctx = _world(20, cap=3)
+    enc, meta = _nets("relu", 3)
+    for users in ([0, 6, 13], [3, 40]):  # user 6 has no sequence, 40 is past the largest key
+        with pytest.raises(ColdSourceUserError) as want:
+            padded_transform_users(enc, meta, ctx, users)
+        with pytest.raises(ColdSourceUserError) as got:
+            transform_users(enc, meta, ctx, users)
+        message = f"user index {users[1]} has no source interactions"
+        assert str(got.value) == str(want.value) == message
+    with pytest.raises(ColdSourceUserError, match="empty source sequence"):
+        mapping_oriented_loss((enc, meta), ctx.user_reprs[:1], ctx.tgt_user_reprs[:1],
+                              [np.zeros((0, 4))])
+
+
+def test_the_sequences_of_a_context_are_read_only():
+    ctx = _world(20)
+    with pytest.raises(TypeError):
+        ctx.sequences[0] = np.array([1])
+    with pytest.raises(AttributeError):
+        ctx.sequences.pop(0)
+    with pytest.raises(AttributeError):
+        ctx.sequences = {}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from bridgerec.data import FORMATS, load_dataset
 from bridgerec.models import DomainModel, TrainConfig, save_model
 from bridgerec.pipeline import (BASE_MODELS, METHODS, AmazonTask, ExperimentPlan, SyntheticSpec,
                                 SyntheticTask, sweep_plans)
+from bridgerec.checkpoint import load_tensors, save_tensors
 from conftest import edit_checkpoint
 
 SMOKE_TASK = {"kind": "synthetic", "n_users_src": 200, "n_users_tgt": 200,
@@ -409,6 +410,112 @@ def test_meta_only_rejects_another_beta_or_seed(tmp_path, capsys, checkpointed, 
 
 
 # ---------------------------------------------------------------------------
+# a meta_only export takes the bridge its checkpoints hold
+
+TRAIN_BRIDGE = ("train_meta", "train_meta_mapping", "train_common_bridge")
+BRIDGE_FILE = {"ptupcdr": "bridge_nets", "ptupcdr_mapping_ablation": "bridge_nets",
+               "emcdr": "common_bridge"}
+
+
+def _export(tmp_path, cfg, name, **overrides):
+    """Export both files (embeddings only for emcdr) into tmp_path/name; their contents."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, **overrides}))
+    what = "embeddings" if cfg["method"] == "emcdr" else "both"
+    assert main(["export", str(path), "--what", what, "--out-dir", str(tmp_path / name)]) == 0
+    return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+
+@pytest.fixture(scope="module")
+def saved_transfers(tmp_path_factory):
+    """Per bridge method, (its config, the checkpoint dir of a run that saved checkpoints,
+    the files of a stage-full export)."""
+    root = tmp_path_factory.mktemp("saved_transfers")
+    runs = {}
+    for method in BRIDGE_FILE:
+        cfg = {**FAST, "method": method}
+        path = root / f"{method}.json"
+        path.write_text(json.dumps({**cfg, "save_checkpoints": True}))
+        assert main(["run", str(path), "--out-dir", str(root / method)]) == 0
+        runs[method] = cfg, root / method / "checkpoints", _export(root, cfg, f"{method}-full")
+    return runs
+
+
+def _count_bridge_training(monkeypatch, allowed=True):
+    """Wrap the bridge-stage trainers ``pipeline`` calls; the dict counts their calls.
+    With ``allowed`` false a call is an AssertionError instead."""
+    calls = {}
+    for name in TRAIN_BRIDGE:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            if not allowed:
+                raise AssertionError(f"{_name} ran")
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", list(BRIDGE_FILE))
+def test_meta_only_export_takes_the_saved_bridge(tmp_path, monkeypatch, saved_transfers,
+                                                 method):
+    cfg, ckpt, full = saved_transfers[method]
+    _count_bridge_training(monkeypatch, allowed=False)
+    assert _export(tmp_path, cfg, "meta_only", stage="meta_only",
+                   checkpoint_dir=str(ckpt)) == full
+
+
+@pytest.mark.parametrize("method", list(BRIDGE_FILE))
+@pytest.mark.parametrize("case", ["bridge_block", "no_record", "other_model", "truncated"])
+def test_meta_only_export_trains_a_bridge_saved_for_another_plan(tmp_path, monkeypatch, caplog,
+                                                                 saved_transfers, method, case):
+    cfg, ckpt, full = saved_transfers[method]
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    overrides = {"stage": "meta_only", "checkpoint_dir": str(copy)}
+    prefix = copy / BRIDGE_FILE[method]
+    if case == "bridge_block":
+        overrides["bridge"] = {**cfg["bridge"], "epochs": cfg["bridge"]["epochs"] + 1}
+    elif case == "no_record":  # as written before bridges recorded their plan
+        edit_checkpoint(prefix, "trained_with", "meta")
+    elif case == "other_model":  # a later run overwrote the target model in place
+        tensors, meta = load_tensors(copy / "tgt_model")
+        tensors["users"][0, 0] += 1.0
+        save_tensors(copy / "tgt_model", tensors, meta)
+    else:
+        blob = prefix.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:-8])
+    calls = _count_bridge_training(monkeypatch)
+    files = _export(tmp_path, cfg, "meta_only", **overrides)
+    assert sum(calls.values()) == 1
+    if case in ("no_record", "truncated"):  # the models are the saved ones: same files
+        assert files == full
+    assert ("is unreadable, so the bridge stage trains again" in caplog.text) == (
+        case == "truncated")
+
+
+@pytest.mark.parametrize("method", list(BRIDGE_FILE))
+def test_meta_only_run_trains_its_bridge_stage(tmp_path, monkeypatch, saved_transfers, method):
+    cfg, ckpt, _ = saved_transfers[method]
+    calls = _count_bridge_training(monkeypatch)
+    path = _meta_only_config(tmp_path, cfg, ckpt)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    assert sum(calls.values()) == 1
+    assert (tmp_path / "run" / "bridge_trace.csv").exists()
+
+
+def test_a_saved_bridge_records_the_plan_that_trained_it(saved_transfers):
+    for method, (cfg, ckpt, _) in saved_transfers.items():
+        record = load_tensors(ckpt / BRIDGE_FILE[method])[1]["trained_with"]
+        assert {key: record[key] for key in ("method", "k", "beta", "seed", "bridge")} == {
+            "method": method, "k": 4, "beta": 0.2, "seed": 3,
+            "bridge": {"lr": 0.01, "epochs": 3, "batch_size": 512, "patience": None}}
+        assert (record["base_model"], record["activation"], record["max_seq_len"]) == (
+            "mf", "relu", 20)
+        assert len(record["models"]) == 64  # a sha256 of the two models
+
+
+# ---------------------------------------------------------------------------
 # suite
 
 def test_suite_three_methods_with_means_and_attention(tmp_path):
@@ -510,6 +617,14 @@ def test_run_without_warm_ratings_fails_before_pretraining(tmp_path, capsys, mon
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert "none of the 28 test users has a warm rating" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_run_that_fails_in_its_plan_leaves_no_output_directory(tmp_path, capsys):
+    # the sharpness leaves every user one item to draw, so the world cannot be drawn
+    cfg = _run_config(tmp_path, task={**SMOKE_TASK, "selection_sharpness": 1e6})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "fewer than ratings_per_user=12 items to draw from" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_invalid_plan_activation(tmp_path, capsys):

@@ -24,10 +24,14 @@ read rating logs (csv + csv and csv + json-lines) that the script writes once in
 OUT_DIR/logs from a fixed world. The emcdr, ptupcdr and
 ptupcdr_mapping_ablation mf configs and the ptupcdr csv + csv config run a
 second time as <config>-meta_only, with ``stage: meta_only`` reading the
-checkpoints (models and domains) their first run saved; every command runs in
-OUT_DIR/<side>, so that checkpoint path is relative and the config files
-match across trees. Each tree also runs ``prepare`` on the csv + json-lines
-logs into OUT_DIR/<side>/prepare, and on a longer csv + json-lines pair in
+checkpoints (models, domains and bridge) their first run saved; each of their
+exports takes the saved bridge instead of training it. The
+ptupcdr_mapping_ablation-mf-meta_only-bridge_epochs config reads the same
+checkpoints with another ``bridge.epochs``, so its export finds a bridge saved
+for another plan and trains its own. Every command runs in OUT_DIR/<side>, so
+that checkpoint path is relative and the config files match across trees.
+Each tree also runs ``prepare`` on the csv + json-lines logs into
+OUT_DIR/<side>/prepare, and on a longer csv + json-lines pair in
 OUT_DIR/logs/long into OUT_DIR/<side>/prepare-long: 12,000 rows a log, so
 rows cross several of the loader's chunk boundaries, and every 97th row's
 rating is out of range. On the csv + json-lines logs each tree also runs
@@ -133,6 +137,8 @@ def matrix(log_dir: Path) -> dict[str, dict]:
     for name in META_ONLY:  # after their source run, so its checkpoints exist
         configs[f"{name}-meta_only"] = {**configs[name], "stage": "meta_only",
                                         "checkpoint_dir": f"{name}/checkpoints"}
+    name = "ptupcdr_mapping_ablation-mf-meta_only"
+    configs[f"{name}-bridge_epochs"] = {**configs[name], "bridge": {**BRIDGE, "epochs": 7}}
     return configs
 
 
