@@ -72,11 +72,10 @@ def _manifest(prefix: Path):
 def load_tensors(prefix):
     """Load a checkpoint; returns (tensors, meta)."""
     prefix = Path(prefix)
-    blob_path = prefix.with_suffix(prefix.suffix + ".bin")
-    for p in (prefix.with_suffix(prefix.suffix + ".json"), blob_path):
-        if not p.exists():
-            raise FileNotFoundError(f"missing checkpoint artifact: {p}")
     manifest, entries = _manifest(prefix)
+    blob_path = prefix.with_suffix(prefix.suffix + ".bin")
+    if not blob_path.exists():
+        raise FileNotFoundError(f"missing checkpoint artifact: {blob_path}")
     expected = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
     size = blob_path.stat().st_size
     if size != expected:

@@ -20,7 +20,7 @@ from pathlib import Path
 from .data import FORMATS, load_domain, make_split, write_csv
 from .models import TrainConfig
 from .pipeline import (BRIDGE_NET_METHODS, METHOD_FIELDS, AmazonTask, ExperimentPlan,
-                       SyntheticSpec, SyntheticTask, load_checkpoints, load_transfer, report_row,
+                       SyntheticSpec, SyntheticTask, load_checkpoints, report_row,
                        run_cold, run_plan, run_suite, save_checkpoints, sweep_plans,
                        write_attention_csv, write_embeddings_csv, write_suite_csv,
                        write_suite_json)
@@ -159,19 +159,20 @@ def _write_traces(traces: dict, out_dir: Path) -> None:
                       ((epoch, f"{loss:.8f}") for epoch, loss in enumerate(record.losses)))
 
 
-def _load_pretrained(cfg: dict, plan: ExperimentPlan) -> dict | None:
+def _load_pretrained(cfg: dict, plan: ExperimentPlan, transfer: bool = False) -> dict | None:
     stage = cfg.get("stage", "full")
     if stage == "full" and "checkpoint_dir" not in cfg:
         return None
     if stage != "meta_only":
         raise ConfigError(f"got stage {stage!r}: stage is 'full' or 'meta_only', "
                           "and only 'meta_only' reads checkpoint_dir")
-    if "bridge" not in plan.reads:  # meta_only trains the bridge stage again, and only it
+    # meta_only: a run trains the bridge stage again, an export may take the saved bridge
+    if "bridge" not in plan.reads:
         raise ConfigError(f"stage 'meta_only' does not apply to method {plan.method!r}")
     ckpt_dir = cfg.get("checkpoint_dir")
     if not ckpt_dir:
         raise ConfigError("stage 'meta_only' needs checkpoint_dir")
-    return load_checkpoints(plan, ckpt_dir)
+    return load_checkpoints(plan, ckpt_dir, transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +252,7 @@ def cmd_export(args) -> int:
     _check_reads(cfg, [plan])
     if args.what in ("attention", "both") and plan.method not in BRIDGE_NET_METHODS:
         raise ConfigError("attention export needs a ptupcdr-family method")
-    pretrained = _load_pretrained(cfg, plan)
-    if pretrained is not None:  # meta_only: export the bridge its checkpoints hold
-        pretrained.update(load_transfer(plan, cfg["checkpoint_dir"], pretrained))
+    pretrained = _load_pretrained(cfg, plan, transfer=True)
     cold = run_cold(plan, pretrained=pretrained)
     out = _out_dir(args.out_dir, cfg.get("out_dir"))
     if args.what in ("attention", "both"):

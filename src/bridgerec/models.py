@@ -242,9 +242,10 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
                     tgt_items=model.items[src.n_items:], k=k), record
 
 
-def save_model(prefix, model: DomainModel) -> None:
+def save_model(prefix, model: DomainModel, info: dict | None = None) -> None:
+    """Save a model; ``info`` adds entries to the manifest's meta."""
     tensors = dict(model.params())
-    meta = {"kind": "domain_model", "head": model.head, "k": model.k}
+    meta = {**(info or {}), "kind": "domain_model", "head": model.head, "k": model.k}
     if model.head == "two_tower":
         meta["activation"] = model.user_net.activation
     checkpoint.save_tensors(prefix, tensors, meta)

@@ -1,5 +1,5 @@
-"""Minimal numeric kernel: two-layer nets, softmax, table gradients, Adam, the
-shared training loop and grad checking.
+"""Minimal numeric kernel: two-layer nets, table gradients, Adam, the shared
+training loop and grad checking.
 
 Everything is float64 numpy. Backward passes are hand-derived and verified
 against central differences by ``grad_check``.
@@ -13,17 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
-
-
-def softmax(scores) -> np.ndarray:
-    """Stable softmax of a non-empty 1-D score vector (max-shifted before exp)."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("softmax input must be finite")
-    z = np.exp(s - np.max(s))
-    return z / np.sum(z)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

@@ -388,15 +388,6 @@ def _resolve_data(plan: ExperimentPlan, data_seed: int):
             load_domain(plan.task.tgt_path, plan.task.fmt))
 
 
-def _domain_source(plan: ExperimentPlan, side: str) -> dict:
-    """What identifies the ``side`` ("src" or "tgt") dataset of ``plan``: its log's
-    sha256 and resolved format, or the synthetic spec and the data seed."""
-    task = plan.task
-    if isinstance(task, SyntheticTask):
-        return {"spec": asdict(task.spec), "data_seed": _stage_seeds(plan.seed)["data"]}
-    return log_source(task.src_path if side == "src" else task.tgt_path, task.fmt)
-
-
 def _evaluate(plan: ExperimentPlan, stage: str, tgt: DomainDataset, rows_per_user,
               scoring: np.ndarray, E: np.ndarray, counters: dict, traces: dict) -> MetricsReport:
     """Score the target rows of user i against E[i], clipped to the rating range."""
@@ -492,10 +483,10 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
 
     ``pretrained`` holds what plans that differ only in ``method`` share: "src", "tgt",
     "split", "tgt_train", "src_model" and "tgt_model", and the models' TrainRecords
-    "src_trace" and "tgt_trace" (``load_checkpoints`` gives no split and no records).
+    "src_trace" and "tgt_trace" (``load_checkpoints`` gives no split and no TrainRecords).
     run_cold reuses what the dict holds and adds what it builds; it modifies no entry.
     One key is the plan's own, not shared: "transfer", the bridge-stage result
-    ``load_transfer`` read from checkpoints (emcdr's W or a ptupcdr-family (encoder,
+    ``load_checkpoints`` read with ``transfer`` (emcdr's W or a ptupcdr-family (encoder,
     generator)). With it the bridge stage trains nothing, so the report has no "bridge"
     trace and counts no skipped meta samples; run_cold never adds it.
     """
@@ -525,103 +516,124 @@ def run_cold(plan: ExperimentPlan, pretrained: dict | None = None) -> ColdRun:
                    scoring=scoring, init=init, artifacts=artifacts)
 
 
-def _transfer_record(plan: ExperimentPlan, src_model, tgt_model) -> dict:
-    """What a bridge stage's result depends on, as a checkpoint manifest holds it: the plan
-    fields it read and a sha256 of the two models it bridges."""
-    digest = hashlib.sha256()
-    for model in (src_model, tgt_model):
-        for name, p in sorted(model.params().items()):
+def _records(plan: ExperimentPlan, models=None) -> dict:
+    """What each checkpoint ``save_checkpoints`` writes was built from, by name: a domain's
+    source (its log's sha256 and format, or the synthetic spec and data seed); a model's base
+    model, k, pretrain block, seed, domain source and, for two_tower, activation, with the
+    beta and source domain that pick tgt_model's training split; with ``models`` (source,
+    target), the bridge's: the plan fields its stage reads and a sha256 of the models."""
+    task = plan.task
+    if isinstance(task, SyntheticTask):
+        src = tgt = {"spec": asdict(task.spec), "data_seed": _stage_seeds(plan.seed)["data"]}
+    else:
+        src, tgt = (log_source(path, task.fmt) for path in (task.src_path, task.tgt_path))
+    model = {"base_model": plan.base_model, "k": plan.k,
+             **({"activation": plan.activation} if plan.base_model == "two_tower" else {}),
+             "pretrain": asdict(plan.pretrain), "seed": plan.seed}
+    records = {"src_domain": {"source": src}, "tgt_domain": {"source": tgt},
+               "src_model": {**model, "source": src},
+               "tgt_model": {**model, "beta": plan.beta, "source": tgt, "split_source": src}}
+    if models is not None:
+        digest = hashlib.sha256()
+        for name, p in (item for m in models for item in sorted(m.params().items())):
             digest.update(f"{name}{p.shape}".encode())
             digest.update(p.tobytes())
-    return {"method": plan.method, "base_model": plan.base_model, "k": plan.k,
+        records["common_bridge" if plan.method == "emcdr" else "bridge_nets"] = {
+            "method": plan.method, "base_model": plan.base_model, "k": plan.k,
             "beta": plan.beta, "seed": plan.seed, "activation": plan.activation,
             "max_seq_len": plan.max_seq_len, "bridge": asdict(plan.bridge),
             "models": digest.hexdigest()}
+    return records
+
+
+def _record_mismatch(meta: dict, record: dict) -> str | None:
+    """None when the record a checkpoint's ``meta`` holds under "built_from" equals
+    ``record``, else "<field> <saved value>, but the config asks for <field> <value>" of the
+    first field, in ``record``'s order, that it lacks (saved value None) or gives otherwise."""
+    saved = meta.get("built_from")
+    saved = saved if isinstance(saved, dict) else {}
+    return next((f"{f} {saved.get(f)!r}, but the config asks for {f} {record.get(f)!r}"
+                 for f in {**record, **saved}
+                 if (f in saved, saved.get(f)) != (f in record, record.get(f))), None)
 
 
 def save_checkpoints(cold: ColdRun, ckpt_dir: Path) -> None:
-    """Save the cold run's models and bridge. With both domain models, the methods
-    stage meta_only reads, also save both domains; each domain's meta holds where it
-    came from and the plan's beta and seed, which fix the split. A bridge's meta holds,
-    under "trained_with", ``_transfer_record``, which ``load_transfer`` checks."""
+    """Save the cold run's models and bridge, and with both domain models (the methods stage
+    meta_only reads) both domains. Each manifest's meta holds the checkpoint's ``_records``
+    entry under "built_from", which ``load_checkpoints`` checks."""
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    artifacts, plan = cold.artifacts, cold.plan
+    artifacts = cold.artifacts
+    if not artifacts:  # cmf saves nothing
+        return
+    models = (artifacts["src_model"], artifacts["tgt_model"]) if "src_model" in artifacts else None
+    info = {name: {"built_from": record} for name, record in _records(cold.plan, models).items()}
     if "src_model" in artifacts:
         for side in ("src", "tgt"):
-            save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side),
-                         {"source": _domain_source(plan, side), "beta": plan.beta,
-                          "seed": plan.seed})
-        save_model(ckpt_dir / "src_model", artifacts["src_model"])
-        record = {"trained_with": _transfer_record(plan, artifacts["src_model"],
-                                                   artifacts["tgt_model"])}
+            save_dataset(ckpt_dir / f"{side}_domain", getattr(cold, side), info[f"{side}_domain"])
+        save_model(ckpt_dir / "src_model", artifacts["src_model"], info["src_model"])
     if "tgt_model" in artifacts:
-        save_model(ckpt_dir / "tgt_model", artifacts["tgt_model"])
+        save_model(ckpt_dir / "tgt_model", artifacts["tgt_model"], info["tgt_model"])
     if "common_bridge" in artifacts:
-        save_common_bridge(ckpt_dir / "common_bridge", artifacts["common_bridge"], record)
+        save_common_bridge(ckpt_dir / "common_bridge", artifacts["common_bridge"],
+                           info["common_bridge"])
     if "enc" in artifacts:
-        save_bridge_nets(ckpt_dir / "bridge_nets", artifacts["enc"], artifacts["meta"], record)
+        save_bridge_nets(ckpt_dir / "bridge_nets", artifacts["enc"], artifacts["meta"],
+                         info["bridge_nets"])
 
 
-def load_checkpoints(plan: ExperimentPlan, ckpt_dir) -> dict:
-    """``run_cold``'s ``pretrained`` dict ("src_model", "tgt_model", "src", "tgt") read
-    from the files ``save_checkpoints`` wrote; a checkpoint that is missing, unreadable,
-    saved for another plan, or a model whose tables do not fit its domain's users and
-    items is a ValueError naming it."""
-    loaded = {}
+def _read(ckpt_dir: Path, name: str, load):
+    """``load`` of the checkpoint ``name``; a missing or unreadable one is a ValueError."""
+    try:
+        return load(ckpt_dir / name)
+    except FileNotFoundError as exc:
+        raise ValueError(f"missing checkpoint artifact for {name}: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"checkpoint manifest for {name} lacks the key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
+
+
+def load_checkpoints(plan: ExperimentPlan, ckpt_dir, transfer: bool = False) -> dict:
+    """``run_cold``'s ``pretrained`` dict ("src_model", "tgt_model", "src", "tgt") from the
+    files ``save_checkpoints`` wrote; one missing, unreadable or built otherwise than the
+    plan's ``_records`` say, or a model whose head, k or tables do not fit the plan and its
+    domain, is a ValueError naming it. With ``transfer``, also "transfer": the bridge (emcdr's
+    W or an (encoder, generator)) if its record is the plan's, else ``run_cold`` trains it."""
+    ckpt_dir = Path(ckpt_dir)
+    loaded = {name: _read(ckpt_dir, name, load_model) for name in ("src_model", "tgt_model")}
+    records = _records(plan, (loaded["src_model"], loaded["tgt_model"]) if transfer else None)
     for name in ("src_model", "tgt_model", "src_domain", "tgt_domain"):
         side, kind = name.split("_")
-        try:
-            if kind == "model":
-                loaded[name] = model = load_model(Path(ckpt_dir) / name)
-            else:
-                loaded[side], meta = load_dataset(Path(ckpt_dir) / name)
-        except FileNotFoundError as exc:
-            raise ValueError(f"missing checkpoint artifact for {name}: {exc}") from None
-        except KeyError as exc:
-            raise ValueError(f"checkpoint manifest for {name} lacks the key {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{name} checkpoint in {ckpt_dir} is unreadable: {exc}") from None
+        model = loaded[f"{side}_model"]
         if kind == "model":
-            if (model.head, model.k) != (plan.base_model, plan.k):
-                raise ValueError(f"{name} checkpoint has base_model {model.head!r} and k "
-                                 f"{model.k}, but the config asks for base_model "
-                                 f"{plan.base_model!r} and k {plan.k}")
-        # the split, and so which target ratings trained tgt_model, follows from beta and seed
-        elif (meta.get("beta"), meta.get("seed")) != (plan.beta, plan.seed):
-            raise ValueError(f"checkpoints in {ckpt_dir} were saved at beta {meta.get('beta')} "
-                             f"and seed {meta.get('seed')}, but the config asks for beta "
-                             f"{plan.beta} and seed {plan.seed}")
-        elif meta.get("source") != _domain_source(plan, side):
-            raise ValueError(f"{name} checkpoint in {ckpt_dir} was saved from other data "
-                             f"than the config's {side} domain")
-        else:  # pretrain sizes a model from its data, and tgt_train shares tgt's id maps
-            model, ds = loaded[f"{side}_model"], loaded[side]
-            if (model.n_users, model.n_items) != (ds.n_users, ds.n_items):
-                raise ValueError(f"{side}_model checkpoint in {ckpt_dir} has {model.n_users} "
-                                 f"users and {model.n_items} items, but {name} has "
-                                 f"{ds.n_users} users and {ds.n_items} items")
+            meta = _read(ckpt_dir, name, checkpoint.load_meta)
+        else:
+            loaded[side], meta = _read(ckpt_dir, name, load_dataset)
+        mismatch = _record_mismatch(meta, records[name])
+        if mismatch is not None:
+            raise ValueError(f"{name} checkpoint in {ckpt_dir} was built from {mismatch}")
+        if kind == "model" and (model.head, model.k) != (plan.base_model, plan.k):
+            raise ValueError(f"{name} checkpoint has base_model {model.head!r} and k "
+                             f"{model.k}, but the config asks for base_model "
+                             f"{plan.base_model!r} and k {plan.k}")
+        # pretrain sizes a model from its data, and tgt_train shares tgt's id maps
+        ds = loaded.get(side)
+        if kind == "domain" and (model.n_users, model.n_items) != (ds.n_users, ds.n_items):
+            raise ValueError(f"{side}_model checkpoint in {ckpt_dir} has {model.n_users} "
+                             f"users and {model.n_items} items, but {name} has "
+                             f"{ds.n_users} users and {ds.n_items} items")
+    if transfer:
+        name = "common_bridge" if plan.method == "emcdr" else "bridge_nets"
+        try:
+            if _record_mismatch(checkpoint.load_meta(ckpt_dir / name), records[name]) is None:
+                loaded["transfer"] = (load_common_bridge if name == "common_bridge"
+                                      else load_bridge_nets)(ckpt_dir / name)
+        except FileNotFoundError:
+            pass
+        except (KeyError, ValueError) as exc:
+            logger.warning("the bridge checkpoint at %s is unreadable, so the bridge stage "
+                           "trains again: %s", ckpt_dir / name, exc)
     return loaded
-
-
-def load_transfer(plan: ExperimentPlan, ckpt_dir, loaded: dict) -> dict:
-    """``{"transfer": ...}`` for ``run_cold``: the bridge ``save_checkpoints`` wrote in
-    ``ckpt_dir``, when its "trained_with" equals ``_transfer_record`` of ``plan`` and the
-    models of ``loaded`` (what ``load_checkpoints`` returned). A bridge that is missing,
-    unreadable or saved before the record, or for another plan or other models, gives
-    {}, and ``run_cold`` trains it again."""
-    emcdr = plan.method == "emcdr"
-    prefix = Path(ckpt_dir) / ("common_bridge" if emcdr else "bridge_nets")
-    record = _transfer_record(plan, loaded["src_model"], loaded["tgt_model"])
-    try:
-        if checkpoint.load_meta(prefix).get("trained_with") != record:
-            return {}
-        return {"transfer": load_common_bridge(prefix) if emcdr else load_bridge_nets(prefix)}
-    except FileNotFoundError:
-        return {}
-    except (KeyError, ValueError) as exc:
-        logger.warning("the bridge checkpoint at %s is unreadable, so the bridge stage "
-                       "trains again: %s", prefix, exc)
-        return {}
 
 
 # ---------------------------------------------------------------------------

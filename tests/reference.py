@@ -21,8 +21,19 @@ from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, ColdSourceUser
                               MetaNetwork, Sequences, _attention, _backward, _namespaced)
 from bridgerec.data import dataset_from_codes
 from bridgerec.models import DomainModel, predict_batch
-from bridgerec.nn import softmax, table_grad
+from bridgerec.nn import table_grad
 from bridgerec.pipeline import PlantedTruth
+
+
+def softmax(scores) -> np.ndarray:
+    """Stable softmax of a non-empty 1-D score vector (max-shifted before exp)."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("softmax expects a non-empty 1-D vector")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("softmax input must be finite")
+    z = np.exp(s - np.max(s))
+    return z / np.sum(z)
 
 
 def attention_scores(enc: CharacteristicEncoder, item_embs) -> np.ndarray:
@@ -178,7 +189,7 @@ def padded_attention_table(enc, ctx, src_users):
 
 def generate_synthetic(spec, seed: int = 0):
     """``pipeline.generate_synthetic`` one user at a time: each factor drawn and scaled
-    alone, and each user's items drawn through ``nn.softmax`` and ``rng.choice``."""
+    alone, and each user's items drawn through ``softmax`` and ``rng.choice``."""
     rng = np.random.default_rng(seed)
     k = spec.k_true
     scale = np.sqrt(5.0 / k) * 0.95

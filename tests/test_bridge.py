@@ -10,10 +10,10 @@ from bridgerec.bridge import (CharacteristicEncoder, ColdSourceUserError,
                               train_meta, train_meta_mapping, transform_user)
 from bridgerec.checkpoint import load_tensors, save_tensors
 from bridgerec.models import TrainConfig
-from bridgerec.nn import grad_check, prefix_params, softmax
+from bridgerec.nn import grad_check, prefix_params
 from conftest import edit_checkpoint
 from reference import (apply_bridge, attention_scores, encode_characteristic,
-                       generate_bridge)
+                       generate_bridge, softmax)
 
 
 def _enc(k=4, seed=1, **kw):

@@ -15,9 +15,9 @@ from bridgerec.bridge import (BLOCK_USERS, CharacteristicEncoder, ColdSourceUser
                               MetaNetwork, Sequences, TransferContext, _attention,
                               attention_table, mapping_oriented_loss, task_oriented_loss,
                               transform_user, transform_users)
-from bridgerec.nn import grad_check, prefix_params, softmax
+from bridgerec.nn import grad_check, prefix_params
 from reference import (attention_scores, padded_attention, padded_attention_table,
-                       padded_mapping_loss, padded_task_loss, padded_transform_users)
+                       padded_mapping_loss, padded_task_loss, padded_transform_users, softmax)
 
 TOL = 1e-12
 

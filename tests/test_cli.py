@@ -222,10 +222,15 @@ def test_run_meta_only_from_saved_checkpoints(tmp_path):
 ], ids=["head", "k", "name", "shape", "meta", "k-float", "k-str", "k-zero"])
 def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monkeypatch,
                                                          case, overrides, message):
+    # each model records the config's plan, so the head and k cases reach the check of
+    # the model file itself, which a file replaced from outside the program can fail
     _no_training(monkeypatch)
     ckpt = tmp_path / "ckpt"
+    cfg = _run_config(tmp_path, **{"base_model": "two_tower", "stage": "meta_only",
+                                   "checkpoint_dir": str(ckpt), **overrides})
+    records = pipeline._records(build_plan(json.loads(cfg.read_text())))
     for name in ("src_model", "tgt_model"):
-        save_model(ckpt / name, DomainModel(5, 6, 4, "two_tower"))
+        save_model(ckpt / name, DomainModel(5, 6, 4, "two_tower"), {"built_from": records[name]})
     if case in ("name", "shape", "meta"):
         edit_checkpoint(ckpt / "tgt_model", "k" if case == "meta" else "item_net.W1", case)
     elif case.startswith("k-"):
@@ -233,8 +238,6 @@ def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monke
         edit_checkpoint(ckpt / "tgt_model", "k", "meta_value", bad_k)
         message = (f"tgt_model checkpoint in {ckpt} is unreadable: "
                    f"checkpoint at {ckpt / 'tgt_model'} {message}")
-    cfg = _run_config(tmp_path, **{"base_model": "two_tower", "stage": "meta_only",
-                                   "checkpoint_dir": str(ckpt), **overrides})
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -330,7 +333,7 @@ def test_meta_only_rejects_a_log_edited_after_checkpointing(tmp_path, capsys, ch
     logs[side].write_text("".join(lines))
     path = _meta_only_config(tmp_path, {**cfg, "task": _file_task(logs)}, ckpt)
     _rejected(tmp_path, capsys, ["run", str(path)],
-              f"{side}_domain checkpoint in {ckpt} was saved from other data")
+              f"{side}_model checkpoint in {ckpt} was built from source ")
 
 
 @pytest.mark.parametrize("side", ["src", "tgt"])
@@ -385,7 +388,9 @@ def test_meta_only_rejects_a_model_whose_tables_do_not_fit_its_domain(
     ds, _ = load_dataset(copy / f"{side}_domain")
     sizes = {"users": ds.n_users, "items": ds.n_items}
     sizes[field] += delta
-    save_model(copy / f"{side}_model", DomainModel(sizes["users"], sizes["items"], cfg["k"]))
+    record = load_tensors(copy / f"{side}_model")[1]["built_from"]  # so the record check passes
+    save_model(copy / f"{side}_model", DomainModel(sizes["users"], sizes["items"], cfg["k"]),
+               {"built_from": record})
     _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
               f"{side}_model checkpoint in {copy} has {sizes['users']} users and "
               f"{sizes['items']} items, but {side}_domain has {ds.n_users} users and "
@@ -394,19 +399,83 @@ def test_meta_only_rejects_a_model_whose_tables_do_not_fit_its_domain(
 
 @pytest.mark.parametrize("command", ["run", "export"])
 @pytest.mark.parametrize("kind, overrides, flags, asked", [
-    ("files", {"seed": 4}, [], "beta 0.2 and seed 4"),
-    ("files", {}, ["--seed", "2"], "beta 0.2 and seed 2"),
-    ("files", {"beta": 0.3}, [], "beta 0.3 and seed 3"),
-    ("synthetic", {}, ["--seed", "2"], "beta 0.2 and seed 2"),
+    ("files", {"seed": 4}, [], "src_model checkpoint in {} was built from seed 3, "
+                               "but the config asks for seed 4"),
+    ("files", {}, ["--seed", "2"], "src_model checkpoint in {} was built from seed 3, "
+                                   "but the config asks for seed 2"),
+    ("files", {"beta": 0.3}, [], "tgt_model checkpoint in {} was built from beta 0.2, "
+                                 "but the config asks for beta 0.3"),
+    ("synthetic", {}, ["--seed", "2"], "src_model checkpoint in {} was built from seed 3, "
+                                       "but the config asks for seed 2"),
 ], ids=["config-seed", "flag-seed", "beta", "synthetic-flag-seed"])
 def test_meta_only_rejects_another_beta_or_seed(tmp_path, capsys, checkpointed, command,
                                                 kind, overrides, flags, asked):
     # another split would put target ratings that trained tgt_model into the test set
     cfg, ckpt, _ = checkpointed[kind]
     path = _meta_only_config(tmp_path, cfg, ckpt, **overrides)
-    _rejected(tmp_path, capsys, [command, str(path), *flags],
-              f"checkpoints in {ckpt} were saved at beta 0.2 and seed 3, "
-              f"but the config asks for {asked}")
+    _rejected(tmp_path, capsys, [command, str(path), *flags], asked.format(ckpt))
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+@pytest.mark.parametrize("changed, message", [
+    ("seed", "seed 4, but the config asks for seed 3"), ("split_source", "split_source ")])
+def test_meta_only_rejects_a_target_model_a_later_run_saved_for_another_split(
+        tmp_path, capsys, checkpointed, command, changed, message):
+    # another seed, or a source log with other overlap users, splits the target ratings
+    # otherwise: the later tgt_model trained on target ratings of this split's test users
+    cfg, ckpt, _ = checkpointed["files"]
+    out = tmp_path / "saved"
+    shutil.copytree(ckpt.parent, out)
+    later = {key: value for key, value in cfg.items() if key != "bridge"}
+    if changed == "seed":
+        later["seed"] = 4
+    else:  # the source log without its first user
+        logs = dict(checkpointed["logs"])
+        lines = logs["src"].read_text().splitlines(keepends=True)
+        first = lines[1].split(",")[0]
+        logs["src"] = tmp_path / "src.csv"
+        logs["src"].write_text("".join(line for line in lines
+                                       if not line.startswith(f"{first},")))
+        later["task"] = _file_task(logs)
+    tgt = tmp_path / "tgt.json"
+    tgt.write_text(json.dumps({**later, "method": "tgt", "save_checkpoints": True}))
+    assert main(["run", str(tgt), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    path = _meta_only_config(tmp_path, cfg, out / "checkpoints")
+    _rejected(tmp_path, capsys, [command, str(path)],
+              f"tgt_model checkpoint in {out / 'checkpoints'} was built from {message}")
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+@pytest.mark.parametrize("key, value", [("pretrain", {"lr": 0.01, "epochs": 6}),
+                                        ("base_model", "gmf"), ("k", 3)])
+def test_meta_only_rejects_a_config_its_models_were_not_built_from(tmp_path, capsys,
+                                                                   checkpointed, command,
+                                                                   key, value):
+    cfg, ckpt, _ = checkpointed["files"]
+    path = _meta_only_config(tmp_path, cfg, ckpt, **{key: value})
+    _rejected(tmp_path, capsys, [command, str(path)],
+              f"src_model checkpoint in {ckpt} was built from {key} ")
+
+
+def test_checkpointing_and_meta_only_commands_hash_each_log_once(tmp_path, monkeypatch,
+                                                                  checkpointed):
+    cfg, _, _ = checkpointed["files"]
+    hashed = []
+
+    def counted(path, fmt=None, _fn=pipeline.log_source):
+        hashed.append(Path(path).name)
+        return _fn(path, fmt)
+
+    monkeypatch.setattr(pipeline, "log_source", counted)
+    saving = tmp_path / "saving.json"
+    saving.write_text(json.dumps({**cfg, "save_checkpoints": True}))
+    path = _meta_only_config(tmp_path, cfg, tmp_path / "saved" / "checkpoints")
+    for command, config, out in (("run", saving, "saved"), ("run", path, "run"),
+                                 ("export", path, "export")):
+        hashed.clear()
+        assert main([command, str(config), "--out-dir", str(tmp_path / out)]) == 0
+        assert sorted(hashed) == ["src.csv", "tgt.csv"], (command, config)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +546,7 @@ def test_meta_only_export_trains_a_bridge_saved_for_another_plan(tmp_path, monke
     if case == "bridge_block":
         overrides["bridge"] = {**cfg["bridge"], "epochs": cfg["bridge"]["epochs"] + 1}
     elif case == "no_record":  # as written before bridges recorded their plan
-        edit_checkpoint(prefix, "trained_with", "meta")
+        edit_checkpoint(prefix, "built_from", "meta")
     elif case == "other_model":  # a later run overwrote the target model in place
         tensors, meta = load_tensors(copy / "tgt_model")
         tensors["users"][0, 0] += 1.0
@@ -506,7 +575,7 @@ def test_meta_only_run_trains_its_bridge_stage(tmp_path, monkeypatch, saved_tran
 
 def test_a_saved_bridge_records_the_plan_that_trained_it(saved_transfers):
     for method, (cfg, ckpt, _) in saved_transfers.items():
-        record = load_tensors(ckpt / BRIDGE_FILE[method])[1]["trained_with"]
+        record = load_tensors(ckpt / BRIDGE_FILE[method])[1]["built_from"]
         assert {key: record[key] for key in ("method", "k", "beta", "seed", "bridge")} == {
             "method": method, "k": 4, "beta": 0.2, "seed": 3,
             "bridge": {"lr": 0.01, "epochs": 3, "batch_size": 512, "patience": None}}

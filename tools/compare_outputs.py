@@ -45,7 +45,10 @@ difference of its rows' mae and rmse (rows of failed plans, which have none,
 are skipped; a different row count reads inf), and a differing checkpoint
 ``.bin`` whose two manifests list the same shapes and dtypes with the largest
 absolute difference of its values, each tensor read with the dtype its
-manifest gives. It exits 1 on any difference or failed command, else 0.
+manifest gives. A differing checkpoint manifest (a ``.json`` under a
+``checkpoints`` directory) is printed with the ``meta`` keys whose values
+differ or that only one side has. It exits 1 on any difference or failed
+command, else 0.
 Passing the same tree twice checks that two processes give byte-identical
 outputs.
 """
@@ -222,6 +225,14 @@ def max_tensor_diff(a: Path, b: Path) -> float | None:
                 for (_, _, va), (_, _, vb) in zip(ta, tb)), default=0.0)
 
 
+def differing_meta_keys(a: Path, b: Path) -> list[str]:
+    """The ``meta`` keys of two checkpoint manifests whose values differ or that only
+    one of them has, sorted."""
+    meta_a, meta_b = (json.loads(p.read_text(encoding="utf-8")).get("meta", {}) for p in (a, b))
+    return sorted(key for key in meta_a.keys() | meta_b.keys()
+                  if (key in meta_a, meta_a.get(key)) != (key in meta_b, meta_b.get(key)))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -249,19 +260,24 @@ def main(argv: list[str]) -> int:
     parent_files, change_files = files_under(parent_out), files_under(change_out)
     differing = sorted(parent_files ^ change_files)
     worst = 0.0
-    drift = {}
+    notes = {}
     for rel in sorted(parent_files & change_files):
         if not filecmp.cmp(parent_out / rel, change_out / rel, shallow=False):
             differing.append(rel)
+            pair, diff = (parent_out / rel, change_out / rel), None
             if rel.name in ("report.json", "suite.json"):
-                drift[rel] = max_metric_diff(parent_out / rel, change_out / rel)
-                worst = max(worst, drift[rel])
+                diff = max_metric_diff(*pair)
+                worst = max(worst, diff)
             elif rel.suffix == ".bin":
-                drift[rel] = max_tensor_diff(parent_out / rel, change_out / rel)
+                diff = max_tensor_diff(*pair)
+            elif rel.suffix == ".json" and "checkpoints" in rel.parts:
+                notes[rel] = f"meta keys differ: {', '.join(differing_meta_keys(*pair))}"
+            if diff is not None:
+                notes[rel] = f"largest difference {diff:.3g}"
     for rel in differing:
         side = ("parent only" if rel not in change_files
                 else "change only" if rel not in parent_files else "differs")
-        note = "" if drift.get(rel) is None else f" (largest difference {drift[rel]:.3g})"
+        note = f" ({notes[rel]})" if rel in notes else ""
         print(f"{side}: {rel}{note}")
     print(f"{len(parent_files | change_files)} files, {len(differing)} differ; "
           f"largest report metric difference {worst:.3g}")
