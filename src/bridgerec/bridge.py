@@ -397,36 +397,32 @@ def attention_table(enc: CharacteristicEncoder, ctx: TransferContext,
 def save_bridge_nets(prefix, enc: CharacteristicEncoder, meta: MetaNetwork,
                      info: dict | None = None) -> None:
     """Save an encoder and generator; ``info`` adds entries to the manifest's meta."""
-    info = {**(info or {}), "kind": "bridge_nets", "k": meta.k,
-            "max_seq_len": enc.max_seq_len,
+    info = {**(info or {}), "k": meta.k, "max_seq_len": enc.max_seq_len,
             "enc_activation": enc.net.activation,
             "meta_activation": meta.net.activation}
-    checkpoint.save_tensors(prefix, _namespaced(enc.params(), meta.params()), info)
+    checkpoint.save_tensors(prefix, "bridge_nets", _namespaced(enc.params(), meta.params()), info)
 
 
 def load_bridge_nets(prefix):
-    tensors, info = checkpoint.load_tensors(prefix)
-    if info.get("kind") != "bridge_nets":
-        raise ValueError(f"checkpoint at {prefix} is not a bridge checkpoint")
+    """The (encoder, generator) ``save_bridge_nets`` wrote at ``prefix``, and its meta."""
+    tensors, info = checkpoint.load_tensors(prefix, "bridge_nets")
     k = checkpoint.meta_k(info, prefix)
     enc = CharacteristicEncoder(k, max_seq_len=info.get("max_seq_len"),
                                 activation=info.get("enc_activation", "relu"))
     meta = MetaNetwork(k, activation=info.get("meta_activation", "relu"))
     checkpoint.copy_into(_namespaced(enc.params(), meta.params()), tensors, prefix)
-    return enc, meta
+    return (enc, meta), info
 
 
 def save_common_bridge(prefix, W: np.ndarray, info: dict | None = None) -> None:
     """Save one shared bridge; ``info`` adds entries to the manifest's meta."""
-    checkpoint.save_tensors(prefix, {"W": W}, {**(info or {}), "kind": "common_bridge",
-                                               "k": len(W)})
+    checkpoint.save_tensors(prefix, "common_bridge", {"W": W}, {**(info or {}), "k": len(W)})
 
 
-def load_common_bridge(prefix) -> np.ndarray:
-    tensors, info = checkpoint.load_tensors(prefix)
-    if info.get("kind") != "common_bridge":
-        raise ValueError(f"checkpoint at {prefix} is not a common-bridge checkpoint")
+def load_common_bridge(prefix) -> tuple[np.ndarray, dict]:
+    """The bridge ``save_common_bridge`` wrote at ``prefix``, and the manifest's meta."""
+    tensors, info = checkpoint.load_tensors(prefix, "common_bridge")
     k = checkpoint.meta_k(info, prefix)
     W = np.empty((k, k))
     checkpoint.copy_into({"W": W}, tensors, prefix)
-    return W
+    return W, info

@@ -1,10 +1,12 @@
 """Named-tensor checkpoints: a json manifest plus a little-endian blob.
 
-``save_tensors("dir/model", {...})`` writes ``dir/model.json`` (tensor names,
-shapes, optional metadata) and ``dir/model.bin`` (values concatenated in
-manifest order). Tensors are float64, the manifest's ``dtype``; an integer
-tensor is int64 and its entry says ``"dtype": "<i8"``, so a float-only
-checkpoint is written as it always was. Round-trips are bit-exact.
+``save_tensors("dir/model", kind, {...})`` writes ``dir/model.json`` (tensor
+names, shapes, a meta holding ``kind``) and ``dir/model.bin`` (values in
+manifest order). ``load_tensors`` refuses another kind, so only this module
+checks one; the loaders built on it return the meta they parse. Tensors are
+float64, the manifest's ``dtype``; an integer tensor is int64 and its entry
+says ``"dtype": "<i8"``, so a float-only checkpoint is written as it always
+was. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ DTYPE = "<f8"
 INT_DTYPE = "<i8"
 
 
-def save_tensors(prefix, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def save_tensors(prefix, kind: str, tensors: dict[str, np.ndarray], meta: dict | None = None):
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     arrays, entries = [], []
@@ -30,7 +32,7 @@ def save_tensors(prefix, tensors: dict[str, np.ndarray], meta: dict | None = Non
         entries.append({"name": name, "shape": list(arrays[-1].shape)})
         if dtype == INT_DTYPE:
             entries[-1]["dtype"] = INT_DTYPE
-    manifest = {"dtype": DTYPE, "meta": meta or {}, "tensors": entries}
+    manifest = {"dtype": DTYPE, "meta": {**(meta or {}), "kind": kind}, "tensors": entries}
     prefix.with_suffix(prefix.suffix + ".json").write_text(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
     with open(prefix.with_suffix(prefix.suffix + ".bin"), "wb") as f:
@@ -69,10 +71,13 @@ def _manifest(prefix: Path):
     return manifest, _entries(manifest, prefix)
 
 
-def load_tensors(prefix):
-    """Load a checkpoint; returns (tensors, meta)."""
+def load_tensors(prefix, kind: str):
+    """Load a checkpoint of ``kind`` (another kind is a ValueError); returns (tensors, meta)."""
     prefix = Path(prefix)
     manifest, entries = _manifest(prefix)
+    meta = manifest.get("meta", {})
+    if meta.get("kind") != kind:
+        raise ValueError(f"checkpoint at {prefix} has kind {meta.get('kind')!r}, not {kind!r}")
     blob_path = prefix.with_suffix(prefix.suffix + ".bin")
     if not blob_path.exists():
         raise FileNotFoundError(f"missing checkpoint artifact: {blob_path}")
@@ -85,12 +90,7 @@ def load_tensors(prefix):
     with open(blob_path, "rb") as f:
         tensors = {name: np.fromfile(f, dtype=dtype, count=math.prod(shape)).reshape(shape)
                    for name, shape, dtype in entries}
-    return tensors, manifest.get("meta", {})
-
-
-def load_meta(prefix) -> dict:
-    """The meta of the checkpoint at ``prefix``, read from its manifest alone."""
-    return _manifest(Path(prefix))[0].get("meta", {})
+    return tensors, meta
 
 
 def meta_k(meta: dict, prefix) -> int:

@@ -320,8 +320,9 @@ def write_csv(path, header, rows) -> None:
 def save_dataset(prefix, ds: DomainDataset, meta: dict | None = None) -> None:
     """Save ``ds`` as a checkpoint: its columns as tensors, and its id lists in index
     order, its rejected-row count and ``meta`` in the manifest."""
-    checkpoint.save_tensors(prefix, {name: getattr(ds, name) for name in DATASET_COLUMNS},
-                            {**(meta or {}), "kind": "domain", "users": ds.users.backward,
+    checkpoint.save_tensors(prefix, "domain",
+                            {name: getattr(ds, name) for name in DATASET_COLUMNS},
+                            {**(meta or {}), "users": ds.users.backward,
                              "items": ds.items.backward,
                              "rejected_out_of_range": ds.rejected_out_of_range})
 
@@ -332,9 +333,7 @@ def load_dataset(prefix) -> tuple[DomainDataset, dict]:
     A missing entry, a repeated id, columns of unequal length or of the wrong
     dtype, or an index outside its id map is a ValueError.
     """
-    tensors, meta = checkpoint.load_tensors(prefix)
-    if meta.get("kind") != "domain":
-        raise ValueError(f"checkpoint at {prefix} is not a domain dataset")
+    tensors, meta = checkpoint.load_tensors(prefix, "domain")
     try:
         columns = [tensors[name] for name in DATASET_COLUMNS]
         users, items = IdMap.from_ids(meta["users"]), IdMap.from_ids(meta["items"])
@@ -437,13 +436,16 @@ class SplitPlan:
         cold = {u: np.asarray(rows, dtype=np.int64) for u, rows in payload["cold"].items()}
         warm = {u: np.asarray(rows, dtype=np.int64) for u, rows in payload["warm"].items()}
         test = list(payload["test_users"])
-        test_idx = np.asarray([tgt.users.index(u) for u in test], dtype=np.int64)
-        train_rows = np.flatnonzero(~np.isin(tgt.user_idx, test_idx))
         return cls(beta=payload["beta"], seed=payload["seed"], test_users=test,
                    train_overlap_users=list(payload["train_overlap_users"]),
                    cold=cold, warm=warm,
                    users_without_warm=list(payload["users_without_warm"]),
-                   target_train_indices=train_rows)
+                   target_train_indices=_rows_outside(tgt, test))
+
+
+def _rows_outside(tgt: DomainDataset, users) -> np.ndarray:
+    """The rating rows of ``tgt`` whose user is none of ``users``: a split's training rows."""
+    return np.flatnonzero(~np.isin(tgt.user_idx, [tgt.users.index(u) for u in users]))
 
 
 def make_split(src: DomainDataset, tgt: DomainDataset, beta: float, seed: int) -> SplitPlan:
@@ -481,12 +483,10 @@ def make_split(src: DomainDataset, tgt: DomainDataset, beta: float, seed: int) -
         if len(warm[u]) == 0:
             without_warm.append(u)
 
-    test_idx = np.asarray([tgt.users.index(u) for u in test], dtype=np.int64)
-    train_rows = np.flatnonzero(~np.isin(tgt.user_idx, test_idx))
     return SplitPlan(beta=beta, seed=seed, test_users=list(test),
                      train_overlap_users=train, cold=cold, warm=warm,
                      users_without_warm=without_warm,
-                     target_train_indices=train_rows)
+                     target_train_indices=_rows_outside(tgt, test))
 
 
 def verify_split(plan: SplitPlan, src: DomainDataset, tgt: DomainDataset) -> None:

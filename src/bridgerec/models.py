@@ -244,19 +244,17 @@ def cmf_train(src: DomainDataset, tgt: DomainDataset, k: int,
 
 def save_model(prefix, model: DomainModel, info: dict | None = None) -> None:
     """Save a model; ``info`` adds entries to the manifest's meta."""
-    tensors = dict(model.params())
-    meta = {**(info or {}), "kind": "domain_model", "head": model.head, "k": model.k}
+    meta = {**(info or {}), "head": model.head, "k": model.k}
     if model.head == "two_tower":
         meta["activation"] = model.user_net.activation
-    checkpoint.save_tensors(prefix, tensors, meta)
+    checkpoint.save_tensors(prefix, "domain_model", dict(model.params()), meta)
 
 
-def load_model(prefix) -> DomainModel:
-    tensors, meta = checkpoint.load_tensors(prefix)
-    if meta.get("kind") != "domain_model":
-        raise ValueError(f"checkpoint at {prefix} is not a domain model")
+def load_model(prefix) -> tuple[DomainModel, dict]:
+    """The model ``save_model`` wrote at ``prefix``, and the manifest's meta."""
+    tensors, meta = checkpoint.load_tensors(prefix, "domain_model")
     n_users, n_items = (len(np.atleast_1d(tensors.get(n, ()))) for n in ("users", "items"))
     model = DomainModel(n_users, n_items, checkpoint.meta_k(meta, prefix), meta["head"],
                         activation=meta.get("activation", "relu"))
     checkpoint.copy_into(model.params(), tensors, prefix)
-    return model
+    return model, meta

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint
 from .bridge import (BLOCK_USERS, CharacteristicEncoder, MetaNetwork, attention_table,
                      build_context, load_bridge_nets, load_common_bridge, save_bridge_nets,
                      save_common_bridge, train_common_bridge, train_meta, train_meta_mapping,
@@ -552,9 +551,14 @@ def _record_mismatch(meta: dict, record: dict) -> str | None:
     first field, in ``record``'s order, that it lacks (saved value None) or gives otherwise."""
     saved = meta.get("built_from")
     saved = saved if isinstance(saved, dict) else {}
-    return next((f"{f} {saved.get(f)!r}, but the config asks for {f} {record.get(f)!r}"
-                 for f in {**record, **saved}
+    return next((f"{f} {_sorted(saved.get(f))!r}, but the config asks for "
+                 f"{f} {_sorted(record.get(f))!r}" for f in {**record, **saved}
                  if (f in saved, saved.get(f)) != (f in record, record.get(f))), None)
+
+
+def _sorted(value):
+    """``value`` with every dict in it, nested ones too, keyed in a manifest's sorted order."""
+    return {k: _sorted(value[k]) for k in sorted(value)} if isinstance(value, dict) else value
 
 
 def save_checkpoints(cold: ColdRun, ckpt_dir: Path) -> None:
@@ -600,16 +604,16 @@ def load_checkpoints(plan: ExperimentPlan, ckpt_dir, transfer: bool = False) -> 
     domain, is a ValueError naming it. With ``transfer``, also "transfer": the bridge (emcdr's
     W or an (encoder, generator)) if its record is the plan's, else ``run_cold`` trains it."""
     ckpt_dir = Path(ckpt_dir)
-    loaded = {name: _read(ckpt_dir, name, load_model) for name in ("src_model", "tgt_model")}
+    loaded, metas = {}, {}
+    for name in ("src_model", "tgt_model"):
+        loaded[name], metas[name] = _read(ckpt_dir, name, load_model)
     records = _records(plan, (loaded["src_model"], loaded["tgt_model"]) if transfer else None)
     for name in ("src_model", "tgt_model", "src_domain", "tgt_domain"):
         side, kind = name.split("_")
         model = loaded[f"{side}_model"]
-        if kind == "model":
-            meta = _read(ckpt_dir, name, checkpoint.load_meta)
-        else:
-            loaded[side], meta = _read(ckpt_dir, name, load_dataset)
-        mismatch = _record_mismatch(meta, records[name])
+        if kind == "domain":
+            loaded[side], metas[name] = _read(ckpt_dir, name, load_dataset)
+        mismatch = _record_mismatch(metas[name], records[name])
         if mismatch is not None:
             raise ValueError(f"{name} checkpoint in {ckpt_dir} was built from {mismatch}")
         if kind == "model" and (model.head, model.k) != (plan.base_model, plan.k):
@@ -625,9 +629,10 @@ def load_checkpoints(plan: ExperimentPlan, ckpt_dir, transfer: bool = False) -> 
     if transfer:
         name = "common_bridge" if plan.method == "emcdr" else "bridge_nets"
         try:
-            if _record_mismatch(checkpoint.load_meta(ckpt_dir / name), records[name]) is None:
-                loaded["transfer"] = (load_common_bridge if name == "common_bridge"
-                                      else load_bridge_nets)(ckpt_dir / name)
+            bridge, meta = (load_common_bridge if name == "common_bridge"
+                            else load_bridge_nets)(ckpt_dir / name)
+            if _record_mismatch(meta, records[name]) is None:
+                loaded["transfer"] = bridge
         except FileNotFoundError:
             pass
         except (KeyError, ValueError) as exc:

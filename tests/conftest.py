@@ -39,12 +39,12 @@ def pair_csvs(tmp_path):
     return src, tgt
 
 
-def edit_checkpoint(prefix, name, case, value=None):
-    """Rewrite the checkpoint at ``prefix`` without the meta entry ``name`` (case
+def edit_checkpoint(prefix, kind, name, case, value=None):
+    """Rewrite the ``kind`` checkpoint at ``prefix`` without the meta entry ``name`` (case
     "meta") or with it set to ``value`` ("meta_value"), or with tensor ``name``
     renamed ("name"), given an extra trailing axis ("shape") or cut to one value
     ("scalar")."""
-    tensors, meta = load_tensors(prefix)
+    tensors, meta = load_tensors(prefix, kind)
     if case == "meta":
         del meta[name]
     elif case == "meta_value":
@@ -54,7 +54,7 @@ def edit_checkpoint(prefix, name, case, value=None):
     else:
         t = tensors.pop(name)
         tensors[name] = t[..., None] if case == "shape" else t.reshape(-1)[0]
-    save_tensors(prefix, tensors, meta)
+    save_tensors(prefix, kind, tensors, meta)
 
 
 def traced_peak(fn) -> int:

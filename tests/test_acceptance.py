@@ -129,8 +129,8 @@ def test_criterion_3_bridge_linearity_and_serialization(tmp_path):
         np.testing.assert_allclose(W @ (a * u + b * v), a * (W @ u) + b * (W @ v),
                                    atol=1e-12)
 
-    save_tensors(tmp_path / "bridge", {"W": W})
-    loaded, _ = load_tensors(tmp_path / "bridge")
+    save_tensors(tmp_path / "bridge", "common_bridge", {"W": W})
+    loaded, _ = load_tensors(tmp_path / "bridge", "common_bridge")
     assert loaded["W"].tobytes() == W.tobytes()
     _verdict(3, "bridge linearity and serialization")
 

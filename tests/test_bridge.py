@@ -406,7 +406,7 @@ def test_identical_histories_get_identical_bridges():
 def test_bridge_nets_checkpoint_round_trip(tmp_path):
     enc, meta = _enc(seed=60), _meta(seed=61)
     save_bridge_nets(tmp_path / "nets", enc, meta)
-    enc2, meta2 = load_bridge_nets(tmp_path / "nets")
+    (enc2, meta2), _ = load_bridge_nets(tmp_path / "nets")
     p = np.random.default_rng(62).normal(size=4)
     np.testing.assert_array_equal(generate_bridge(meta2, p), generate_bridge(meta, p))
     V = np.random.default_rng(63).normal(size=(3, 4))
@@ -417,7 +417,7 @@ def test_bridge_nets_checkpoint_round_trip(tmp_path):
 @pytest.mark.parametrize("case", ["name", "shape", "scalar"])
 def test_load_bridge_nets_rejects_a_wrong_name_or_shape(tmp_path, name, case):
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
-    edit_checkpoint(tmp_path / "nets", name, case)
+    edit_checkpoint(tmp_path / "nets", "bridge_nets", name, case)
     with pytest.raises(ValueError, match="checkpoint at"):
         load_bridge_nets(tmp_path / "nets")
 
@@ -425,7 +425,7 @@ def test_load_bridge_nets_rejects_a_wrong_name_or_shape(tmp_path, name, case):
 @pytest.mark.parametrize("k", [4.0, "4", 0, True, None])
 def test_load_bridge_nets_rejects_a_k_that_is_not_an_int_of_at_least_one(tmp_path, k):
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
-    edit_checkpoint(tmp_path / "nets", "k", "meta_value", k)
+    edit_checkpoint(tmp_path / "nets", "bridge_nets", "k", "meta_value", k)
     message = f"checkpoint at {tmp_path / 'nets'} has k {k!r}, expected an int >= 1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_bridge_nets(tmp_path / "nets")
@@ -437,7 +437,7 @@ def test_encoder_rejects_a_sequence_cap_below_one(tmp_path, max_seq_len):
     with pytest.raises(ValueError, match=message):
         _enc(max_seq_len=max_seq_len)
     save_bridge_nets(tmp_path / "nets", _enc(seed=60), _meta(seed=61))
-    tensors, info = load_tensors(tmp_path / "nets")
-    save_tensors(tmp_path / "nets", tensors, {**info, "max_seq_len": max_seq_len})
+    tensors, info = load_tensors(tmp_path / "nets", "bridge_nets")
+    save_tensors(tmp_path / "nets", "bridge_nets", tensors, {**info, "max_seq_len": max_seq_len})
     with pytest.raises(ValueError, match=message):
         load_bridge_nets(tmp_path / "nets")

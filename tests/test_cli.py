@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgerec import pipeline
+from bridgerec import checkpoint, pipeline
 from bridgerec.cli import build_plan, main
 from bridgerec.data import FORMATS, load_dataset
 from bridgerec.models import DomainModel, TrainConfig, save_model
@@ -232,10 +232,11 @@ def test_run_meta_only_rejects_checkpoints_that_disagree(tmp_path, capsys, monke
     for name in ("src_model", "tgt_model"):
         save_model(ckpt / name, DomainModel(5, 6, 4, "two_tower"), {"built_from": records[name]})
     if case in ("name", "shape", "meta"):
-        edit_checkpoint(ckpt / "tgt_model", "k" if case == "meta" else "item_net.W1", case)
+        edit_checkpoint(ckpt / "tgt_model", "domain_model",
+                        "k" if case == "meta" else "item_net.W1", case)
     elif case.startswith("k-"):
         bad_k = {"k-float": 4.0, "k-str": "4", "k-zero": 0}[case]
-        edit_checkpoint(ckpt / "tgt_model", "k", "meta_value", bad_k)
+        edit_checkpoint(ckpt / "tgt_model", "domain_model", "k", "meta_value", bad_k)
         message = (f"tgt_model checkpoint in {ckpt} is unreadable: "
                    f"checkpoint at {ckpt / 'tgt_model'} {message}")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
@@ -388,7 +389,8 @@ def test_meta_only_rejects_a_model_whose_tables_do_not_fit_its_domain(
     ds, _ = load_dataset(copy / f"{side}_domain")
     sizes = {"users": ds.n_users, "items": ds.n_items}
     sizes[field] += delta
-    record = load_tensors(copy / f"{side}_model")[1]["built_from"]  # so the record check passes
+    # so the record check passes
+    record = load_tensors(copy / f"{side}_model", "domain_model")[1]["built_from"]
     save_model(copy / f"{side}_model", DomainModel(sizes["users"], sizes["items"], cfg["k"]),
                {"built_from": record})
     _rejected(tmp_path, capsys, ["run", str(_meta_only_config(tmp_path, cfg, copy))],
@@ -456,6 +458,27 @@ def test_meta_only_rejects_a_config_its_models_were_not_built_from(tmp_path, cap
     path = _meta_only_config(tmp_path, cfg, ckpt, **{key: value})
     _rejected(tmp_path, capsys, [command, str(path)],
               f"src_model checkpoint in {ckpt} was built from {key} ")
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_a_refused_dict_field_prints_both_sides_in_one_key_order(tmp_path, capsys,
+                                                                  checkpointed, command):
+    cfg, ckpt, _ = checkpointed["files"]
+    path = _meta_only_config(tmp_path, cfg, ckpt, pretrain={"lr": 0.01, "epochs": 6})
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    saved, asked = re.fullmatch(r"error: src_model checkpoint in .* was built from pretrain "
+                                r"(\{.*\}), but the config asks for pretrain (\{.*\})\n",
+                                capsys.readouterr().err).groups()
+    assert saved == "{'batch_size': 512, 'epochs': 5, 'lr': 0.01, 'patience': None}"
+    assert asked == saved.replace("'epochs': 5", "'epochs': 6")
+
+
+def test_a_record_mismatch_sorts_nested_dict_keys_on_both_sides():
+    saved = {"source": {"spec": {"n": 1, "beta": {"y": 2, "x": 1}}, "data_seed": 0}}
+    asked = {"source": {"data_seed": 0, "spec": {"beta": {"x": 1, "y": 3}, "n": 1}}}
+    assert pipeline._record_mismatch({"built_from": saved}, asked) == (
+        "source {'data_seed': 0, 'spec': {'beta': {'x': 1, 'y': 2}, 'n': 1}}, but the config "
+        "asks for source {'data_seed': 0, 'spec': {'beta': {'x': 1, 'y': 3}, 'n': 1}}")
 
 
 def test_checkpointing_and_meta_only_commands_hash_each_log_once(tmp_path, monkeypatch,
@@ -546,11 +569,11 @@ def test_meta_only_export_trains_a_bridge_saved_for_another_plan(tmp_path, monke
     if case == "bridge_block":
         overrides["bridge"] = {**cfg["bridge"], "epochs": cfg["bridge"]["epochs"] + 1}
     elif case == "no_record":  # as written before bridges recorded their plan
-        edit_checkpoint(prefix, "built_from", "meta")
+        edit_checkpoint(prefix, prefix.name, "built_from", "meta")
     elif case == "other_model":  # a later run overwrote the target model in place
-        tensors, meta = load_tensors(copy / "tgt_model")
+        tensors, meta = load_tensors(copy / "tgt_model", "domain_model")
         tensors["users"][0, 0] += 1.0
-        save_tensors(copy / "tgt_model", tensors, meta)
+        save_tensors(copy / "tgt_model", "domain_model", tensors, meta)
     else:
         blob = prefix.with_suffix(".bin")
         blob.write_bytes(blob.read_bytes()[:-8])
@@ -573,9 +596,29 @@ def test_meta_only_run_trains_its_bridge_stage(tmp_path, monkeypatch, saved_tran
     assert (tmp_path / "run" / "bridge_trace.csv").exists()
 
 
+@pytest.mark.parametrize("method", list(BRIDGE_FILE))
+def test_meta_only_commands_parse_each_manifest_once(tmp_path, monkeypatch, saved_transfers,
+                                                     method):
+    cfg, ckpt, full = saved_transfers[method]
+    parsed = []
+
+    def counted(prefix, _fn=checkpoint._manifest):
+        parsed.append(prefix.name)
+        return _fn(prefix)
+
+    monkeypatch.setattr(checkpoint, "_manifest", counted)
+    models = ["src_domain", "src_model", "tgt_domain", "tgt_model"]
+    assert main(["run", str(_meta_only_config(tmp_path, cfg, ckpt)),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert sorted(parsed) == models
+    parsed.clear()
+    assert _export(tmp_path, cfg, "export", stage="meta_only", checkpoint_dir=str(ckpt)) == full
+    assert sorted(parsed) == sorted([*models, BRIDGE_FILE[method]])
+
+
 def test_a_saved_bridge_records_the_plan_that_trained_it(saved_transfers):
     for method, (cfg, ckpt, _) in saved_transfers.items():
-        record = load_tensors(ckpt / BRIDGE_FILE[method])[1]["built_from"]
+        record = load_tensors(ckpt / BRIDGE_FILE[method], BRIDGE_FILE[method])[1]["built_from"]
         assert {key: record[key] for key in ("method", "k", "beta", "seed", "bridge")} == {
             "method": method, "k": 4, "beta": 0.2, "seed": 3,
             "bridge": {"lr": 0.01, "epochs": 3, "batch_size": 512, "patience": None}}

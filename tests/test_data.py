@@ -747,13 +747,12 @@ def test_dataset_checkpoint_round_trips_exactly(tmp_path, rows):
     (lambda t, m: t["user_idx"].__setitem__(0, -1), "user index outside its id map"),
     (lambda t, m: m.update(users=["a", "a"]), "repeats an id"),
     (lambda t, m: m.pop("items"), "lacks 'items'"),
-    (lambda t, m: m.update(kind="domain_model"), "is not a domain dataset"),
-], ids=["lengths", "dtype", "item-range", "user-range", "repeated-id", "no-items", "kind"])
+], ids=["lengths", "dtype", "item-range", "user-range", "repeated-id", "no-items"])
 def test_dataset_checkpoint_that_disagrees_is_rejected(tmp_path, edit, message):
     save_dataset(tmp_path / "d", make_dataset([("a", "i0", 3.0, 1), ("b", "i1", 4.0, 2)]))
-    tensors, meta = load_tensors(tmp_path / "d")
+    tensors, meta = load_tensors(tmp_path / "d", "domain")
     edit(tensors, meta)
-    save_tensors(tmp_path / "d", tensors, meta)
+    save_tensors(tmp_path / "d", "domain", tensors, meta)
     with pytest.raises(ValueError, match=message):
         load_dataset(tmp_path / "d")
 

@@ -205,7 +205,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     for head in ("mf", "gmf", "two_tower"):
         m = DomainModel(3, 4, 2, head, rng=np.random.default_rng(8))
         save_model(tmp_path / head, m)
-        loaded = load_model(tmp_path / head)
+        loaded, _ = load_model(tmp_path / head)
         assert loaded.head == head
         u = np.array([0, 1, 2])
         i = np.array([1, 2, 3])
@@ -217,7 +217,7 @@ def test_model_checkpoint_round_trip(tmp_path):
 @pytest.mark.parametrize("case", ["name", "shape", "scalar"])
 def test_load_model_rejects_a_wrong_name_or_shape(tmp_path, head, name, case):
     save_model(tmp_path / "m", DomainModel(3, 4, 2, head, rng=np.random.default_rng(8)))
-    edit_checkpoint(tmp_path / "m", name, case)
+    edit_checkpoint(tmp_path / "m", "domain_model", name, case)
     with pytest.raises(ValueError, match=name):
         load_model(tmp_path / "m")
 
@@ -225,7 +225,7 @@ def test_load_model_rejects_a_wrong_name_or_shape(tmp_path, head, name, case):
 @pytest.mark.parametrize("k", [4.0, "4", 0, True, None])
 def test_load_model_rejects_a_k_that_is_not_an_int_of_at_least_one(tmp_path, k):
     save_model(tmp_path / "m", DomainModel(3, 4, 2, "mf", rng=np.random.default_rng(8)))
-    edit_checkpoint(tmp_path / "m", "k", "meta_value", k)
+    edit_checkpoint(tmp_path / "m", "domain_model", "k", "meta_value", k)
     message = f"checkpoint at {tmp_path / 'm'} has k {k!r}, expected an int >= 1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(tmp_path / "m")

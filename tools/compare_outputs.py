@@ -28,8 +28,14 @@ checkpoints (models, domains and bridge) their first run saved; each of their
 exports takes the saved bridge instead of training it. The
 ptupcdr_mapping_ablation-mf-meta_only-bridge_epochs config reads the same
 checkpoints with another ``bridge.epochs``, so its export finds a bridge saved
-for another plan and trains its own. Every command runs in OUT_DIR/<side>, so
-that checkpoint path is relative and the config files match across trees.
+for another plan and trains its own. The ptupcdr-mf-truncated_bridge config
+is ptupcdr-mf again; after its run the script cuts the last value off the
+``bridge_nets.bin`` it saved, and its -meta_only config reads those
+checkpoints, so that export finds the bridge unreadable and trains its own.
+Each tree must write the same export files there as the config's first
+export, which trained; any other file is a failure. Every command runs in
+OUT_DIR/<side>, so that checkpoint path is relative and the config files
+match across trees.
 Each tree also runs ``prepare`` on the csv + json-lines logs into
 OUT_DIR/<side>/prepare, and on a longer csv + json-lines pair in
 OUT_DIR/logs/long into OUT_DIR/<side>/prepare-long: 12,000 rows a log, so
@@ -75,6 +81,7 @@ BRIDGE = {"lr": 0.01, "epochs": 10}
 BRIDGE_NET_METHODS = ("ptupcdr", "ptupcdr_mapping_ablation")
 BRIDGE_METHODS = ("emcdr", *BRIDGE_NET_METHODS)  # the methods that read a bridge block
 META_ONLY = ("emcdr-mf", "ptupcdr-mf", "ptupcdr_mapping_ablation-mf", "ptupcdr-files-csv")
+TRUNCATED = "ptupcdr-mf-truncated_bridge"  # its saved bridge blob is cut before -meta_only
 
 
 def write_logs(log_dir: Path, n_users: int = 150, reject_every: int = 0) -> None:
@@ -142,6 +149,9 @@ def matrix(log_dir: Path) -> dict[str, dict]:
                                         "checkpoint_dir": f"{name}/checkpoints"}
     name = "ptupcdr_mapping_ablation-mf-meta_only"
     configs[f"{name}-bridge_epochs"] = {**configs[name], "bridge": {**BRIDGE, "epochs": 7}}
+    configs[TRUNCATED] = configs["ptupcdr-mf"]
+    configs[f"{TRUNCATED}-meta_only"] = {**configs["ptupcdr-mf-meta_only"],
+                                         "checkpoint_dir": f"{TRUNCATED}/checkpoints"}
     return configs
 
 
@@ -166,6 +176,8 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
         cfg_path = run_dir.parent / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
         what = "both" if cfg["method"] in BRIDGE_NET_METHODS else "embeddings"
+        if name == f"{TRUNCATED}-meta_only":
+            jobs.append((["truncate", f"{TRUNCATED}/checkpoints/bridge_nets.bin"], out))
         jobs += [(["run", str(cfg_path)], run_dir),
                  (["export", str(cfg_path), "--what", what], run_dir)]
     for logs, name in ((log_dir, "prepare"), (log_dir / "long", "prepare-long")):
@@ -177,12 +189,22 @@ def run_tree(src: Path, out: Path, log_dir: Path) -> list[str]:
         jobs.append((["suite", str(suite_path), "--export-attention", *flags], out / name))
     failed = []
     for args, run_dir in jobs:
+        if args[0] == "truncate":
+            blob = run_dir / args[1]
+            if blob.is_file():  # else the run that saves it failed, and is reported
+                blob.write_bytes(blob.read_bytes()[:-8])
+            continue
         cmd = [sys.executable, "-m", "bridgerec.cli", *args, "--out-dir", str(run_dir)]
         proc = subprocess.run(cmd, env=env, capture_output=True, encoding="utf-8",
                               errors="replace", cwd=out)
         if proc.returncode != 0:
             failed.append(f"{src}: {' '.join(args)} exited {proc.returncode}: "
                           f"{proc.stderr.strip()}")
+    trained, retrained = out / TRUNCATED, out / f"{TRUNCATED}-meta_only"
+    for name in ("attention.csv", "embeddings.csv"):
+        pair = (trained / name, retrained / name)
+        if not all(p.is_file() for p in pair) or not filecmp.cmp(*pair, shallow=False):
+            failed.append(f"{src}: {retrained.name}/{name} differs from the training export's")
     return failed
 
 
